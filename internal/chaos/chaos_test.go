@@ -162,13 +162,13 @@ func TestStormShrinksToMinimalReproducer(t *testing.T) {
 
 func TestBudgetValidateRejectsNonsense(t *testing.T) {
 	bad := []Budget{
-		{Groups: 1, NodesPerGroup: 2},                         // sub-quorum group
-		{MinFaults: 5, MaxFaults: 2},                          // inverted count range
-		{WindowFrac: 1.5},                                     // window past the ramp
+		{Groups: 1, NodesPerGroup: 2}, // sub-quorum group
+		{MinFaults: 5, MaxFaults: 2},  // inverted count range
+		{WindowFrac: 1.5},             // window past the ramp
 		{MinDur: scenario.Duration(2 * time.Second), MaxDur: scenario.Duration(time.Second)}, // inverted durations
-		{Rebalance: 2},                                        // not a probability
-		{Kinds: map[string]float64{"meteor-strike": 1}},       // unknown kind
-		{Kinds: map[string]float64{"crash-node": -1}},         // negative weight
+		{Rebalance: 2}, // not a probability
+		{Kinds: map[string]float64{"meteor-strike": 1}},              // unknown kind
+		{Kinds: map[string]float64{"crash-node": -1}},                // negative weight
 		{Persist: false, Kinds: map[string]float64{"crash-node": 1}}, // crash without persistence
 	}
 	for i, b := range bad {

@@ -242,7 +242,6 @@ func build(eng *sim.Engine, opts Options) *Cluster {
 			c:       c,
 			id:      raft.ID(i + 1),
 			proc:    sim.NewProc(c.eng),
-			timers:  map[timerKey]sim.Handle{},
 			tuned:   opts.Variant.Tuned,
 			hbClass: opts.Variant.HeartbeatClass,
 		}
@@ -250,6 +249,8 @@ func build(eng *sim.Engine, opts Options) *Cluster {
 			c.rts[i].fnode = c.fabric.nodes[i]
 			c.rts[i].fabUID = c.fabricUID
 			c.rts[i].initDrain()
+		} else {
+			c.rts[i].initStandalone()
 		}
 		if opts.Persist {
 			c.persisters[i] = storage.NewMemory()

@@ -14,13 +14,24 @@ import (
 // (modelling its CPU), routes messages over the netsim mesh, and applies
 // the failure model (a paused node drops everything, like a paused
 // container).
+//
+// A standalone runtime allocates nothing in steady state. A delivered
+// message waits out its receive cost as a pooled stepJob, and each
+// (kind, peer) timer is a timerSlot whose callbacks are built once. Timer
+// deadlines are lazy (sim.Timer): raft resets the election timer on every
+// heartbeat, and a reset to a later deadline only records it, so the heap
+// holds one event per armed timer instead of one per reset.
 type nodeRT struct {
 	c    *Cluster
 	id   raft.ID
 	node *raft.Node
 	proc *sim.Proc
 
-	timers map[timerKey]sim.Handle
+	// timers holds the standalone runtime's timer slots, indexed by
+	// slotIndex; jobs recycles delivery step jobs. Both are unused when
+	// fabric-attached.
+	timers []timerSlot
+	jobs   []*stepJob
 
 	// fnode / fabUID route this runtime through the consolidation fabric
 	// when the cluster is one group of a multi-Raft deployment: sends go
@@ -60,9 +71,69 @@ type nodeRT struct {
 	msgsSent, msgsRecv uint64
 }
 
-type timerKey struct {
-	kind raft.TimerKind
-	peer raft.ID
+// stepJob is one delivered message waiting out its receive cost on the
+// node's CPU. Jobs are pooled per runtime and own a callback built once,
+// the same pattern as netsim's in-flight packets.
+type stepJob struct {
+	rt   *nodeRT
+	m    raft.Message
+	fire func()
+}
+
+// run steps the message unless the node froze while it queued, then
+// returns the job to the pool.
+func (j *stepJob) run() {
+	rt := j.rt
+	if !rt.proc.Paused() {
+		rt.node.Step(j.m)
+	}
+	j.m = raft.Message{}
+	rt.jobs = append(rt.jobs, j)
+}
+
+// timerSlot is one (kind, peer) timer of a standalone runtime: a lazy
+// sim.Timer plus the step that runs the expiry on the node after its CPU
+// cost, both built once.
+type timerSlot struct {
+	rt     *nodeRT
+	kind   raft.TimerKind
+	peer   raft.ID
+	timer  sim.Timer
+	stepFn func()
+}
+
+// fire is the timer's expiry. A paused node's expired timer is lost:
+// Reserve refuses the work.
+func (s *timerSlot) fire() {
+	rt := s.rt
+	if done, ok := rt.proc.Reserve(rt.c.cost.TimerFire); ok {
+		rt.c.eng.Schedule(done, s.stepFn)
+	}
+}
+
+// step runs the expired timer on the node, after its CPU cost.
+func (s *timerSlot) step() {
+	if !s.rt.proc.Paused() {
+		s.rt.node.OnTimer(s.kind, s.peer)
+	}
+}
+
+// slotIndex maps (kind, peer) into nodeRT.timers; peer is None or 1..N.
+func (rt *nodeRT) slotIndex(kind raft.TimerKind, peer raft.ID) int {
+	return int(kind)*(len(rt.c.rts)+1) + int(peer)
+}
+
+// initStandalone builds the timer slots and their callbacks (once, at
+// cluster build) for a runtime on the cluster's private mesh.
+func (rt *nodeRT) initStandalone() {
+	per := len(rt.c.rts) + 1
+	rt.timers = make([]timerSlot, 2*per)
+	for i := range rt.timers {
+		s := &rt.timers[i]
+		s.rt, s.kind, s.peer = rt, raft.TimerKind(i/per), raft.ID(i%per)
+		s.timer.Init(rt.c.eng, s.fire)
+		s.stepFn = s.step
+	}
 }
 
 var _ raft.Runtime = (*nodeRT)(nil)
@@ -95,9 +166,20 @@ func (rt *nodeRT) deliver(m raft.Message) {
 		return // frozen container: sockets overflow, packets die
 	}
 	rt.msgsRecv++
-	rt.proc.Exec(rt.c.cost.recvCost(m, rt.tuned), func() {
-		rt.node.Step(m)
-	})
+	done, ok := rt.proc.Reserve(rt.c.cost.recvCost(m, rt.tuned))
+	if !ok {
+		return
+	}
+	var j *stepJob
+	if n := len(rt.jobs); n > 0 {
+		j = rt.jobs[n-1]
+		rt.jobs = rt.jobs[:n-1]
+	} else {
+		j = &stepJob{rt: rt}
+		j.fire = j.run
+	}
+	j.m = m
+	rt.c.eng.Schedule(done, j.fire)
 }
 
 // deliverRun is the fabric's receive path: one envelope's consecutive
@@ -180,19 +262,7 @@ func (rt *nodeRT) SetTimer(kind raft.TimerKind, peer raft.ID, at time.Duration) 
 		rt.fnode.setTimer(rt, kind, peer, at)
 		return
 	}
-	key := timerKey{kind, peer}
-	if h, ok := rt.timers[key]; ok {
-		rt.c.eng.Cancel(h)
-	}
-	rt.timers[key] = rt.c.eng.Schedule(at, func() {
-		delete(rt.timers, key)
-		if rt.paused {
-			return
-		}
-		rt.proc.Exec(rt.c.cost.TimerFire, func() {
-			rt.node.OnTimer(kind, peer)
-		})
-	})
+	rt.timers[rt.slotIndex(kind, peer)].timer.Set(at)
 }
 
 func (rt *nodeRT) CancelTimer(kind raft.TimerKind, peer raft.ID) {
@@ -200,11 +270,7 @@ func (rt *nodeRT) CancelTimer(kind raft.TimerKind, peer raft.ID) {
 		rt.fnode.cancelTimer(rt.fabUID, kind, peer)
 		return
 	}
-	key := timerKey{kind, peer}
-	if h, ok := rt.timers[key]; ok {
-		rt.c.eng.Cancel(h)
-		delete(rt.timers, key)
-	}
+	rt.timers[rt.slotIndex(kind, peer)].timer.Stop()
 }
 
 // pause freezes the node (the paper's `docker pause` failure).
@@ -229,8 +295,7 @@ func (rt *nodeRT) dropTimers() {
 		rt.fnode.dropTimers(rt.fabUID)
 		return
 	}
-	for key, h := range rt.timers {
-		rt.c.eng.Cancel(h)
-		delete(rt.timers, key)
+	for i := range rt.timers {
+		rt.timers[i].timer.Stop()
 	}
 }

@@ -176,10 +176,10 @@ func startGroup(n int, mkTuner func() raft.Tuner, lg *log.Logger, batchWindow ti
 	srvs := make([]*server.Server, 0, n)
 	for i := 1; i <= n; i++ {
 		s, err := server.Start(server.Config{
-			ID:         raft.ID(i),
-			Peers:      peers,
-			Listen:     peers[raft.ID(i)],
-			HTTPListen: "127.0.0.1:0",
+			ID:          raft.ID(i),
+			Peers:       peers,
+			Listen:      peers[raft.ID(i)],
+			HTTPListen:  "127.0.0.1:0",
 			BinListen:   "127.0.0.1:0",
 			Tuner:       mkTuner(),
 			Logger:      lg,

@@ -50,7 +50,7 @@ type InvariantReport struct {
 	// Violations is empty when every invariant held. Suppressed counts
 	// trips beyond the per-run cap (the first maxViolations carry detail).
 	Violations []Violation `json:"violations,omitempty"`
-	Suppressed int          `json:"suppressed,omitempty"`
+	Suppressed int         `json:"suppressed,omitempty"`
 }
 
 // OK reports whether every invariant held.

@@ -21,8 +21,8 @@ import (
 	"time"
 
 	"dynatune/internal/kv"
-	"dynatune/internal/server/batcher"
 	"dynatune/internal/raft"
+	"dynatune/internal/server/batcher"
 	"dynatune/internal/transport"
 )
 
@@ -534,12 +534,12 @@ func (s *Server) Status() Status {
 	ch := make(chan Status, 1)
 	s.exec(func() {
 		ch <- Status{
-			ID:        s.node.ID(),
-			State:     s.node.State().String(),
-			Term:      s.node.Term(),
-			Leader:    s.node.Lead(),
-			Committed: s.node.Log().Committed(),
-			Applied:   s.node.Log().Applied(),
+			ID:          s.node.ID(),
+			State:       s.node.State().String(),
+			Term:        s.node.Term(),
+			Leader:      s.node.Lead(),
+			Committed:   s.node.Log().Committed(),
+			Applied:     s.node.Log().Applied(),
 			EtMs:        float64(s.node.ElectionTimeoutBase()) / float64(time.Millisecond),
 			RandTOMs:    float64(s.node.RandomizedTimeout()) / float64(time.Millisecond),
 			GroupCommit: s.BatchStats(),

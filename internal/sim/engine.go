@@ -36,6 +36,28 @@
 // against the cancellations that triggered it, compaction is O(1) per
 // cancel, and it bounds queue memory at roughly twice the live event
 // count.
+//
+// # Tickets and lazy deadlines
+//
+// Scheduling is "take a ticket, then push": ticket draws the next
+// sequence number and push queues an event under an (at, ticket) key.
+// Splitting the two lets Timer defer the push. Raft re-arms its election
+// timer on every heartbeat, nearly always to a later deadline, and the
+// eager way (Cancel plus Schedule) leaves one dead heap entry per reset.
+// Timer.Set takes the ticket at reset time but only records (deadline,
+// ticket); when the already-queued event fires early, it pushes itself
+// again under that recorded key. A reset to an earlier deadline still
+// cancels and pushes at once. The event then sorts exactly where the eager
+// reschedule would have, so the event order is unchanged, while the heap
+// keeps one entry per armed timer. The cost is one extra firing per
+// deadline move, which Fired counts. The simulator's standalone node
+// runtime (internal/cluster) keeps its raft timers this way.
+//
+// Proc.Reserve is the matching half for CPU work: it books service time
+// and returns the completion instant, and the caller schedules a callback
+// it built once. Per-message and per-timer work then allocates no
+// closure. Proc.ExecNotify is Reserve plus a wrapper closure, for callers
+// off the hot path.
 package sim
 
 import (
@@ -112,7 +134,8 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Fired returns the number of events executed so far (for instrumentation
-// and runaway detection in tests).
+// and runaway detection in tests). A Timer's early firing, the one that
+// only pushes it again, counts as an event.
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of live scheduled events. Lazily cancelled
@@ -131,13 +154,30 @@ func (e *Engine) queueLen() int { return len(e.heap) }
 // the past (at < Now) is a programming error and panics: the discrete-event
 // model has no way to run an event before the current instant.
 func (e *Engine) Schedule(at time.Duration, fn func()) Handle {
+	return e.push(at, e.ticket(), fn)
+}
+
+// ticket takes the next tie-break sequence number without scheduling
+// anything. An event later pushed with the ticket sorts exactly where a
+// Schedule made at the moment the ticket was taken would have.
+func (e *Engine) ticket() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// push registers fn to run at (at, ticket), where ticket came from
+// ticket. Like Schedule, pushing before Now panics; so does a ticket the
+// engine never issued.
+func (e *Engine) push(at time.Duration, ticket uint64, fn func()) Handle {
 	if fn == nil {
 		panic("sim: Schedule with nil fn")
 	}
 	if at < e.now {
 		panic(fmt.Sprintf("sim: Schedule at %v before now %v", at, e.now))
 	}
-	e.seq++
+	if ticket == 0 || ticket > e.seq {
+		panic(fmt.Sprintf("sim: push with unissued ticket %d", ticket))
+	}
 	var slot uint32
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]
@@ -149,7 +189,7 @@ func (e *Engine) Schedule(at time.Duration, fn func()) Handle {
 	ev := &e.arena[slot]
 	ev.fn = fn
 	ev.canceled = false
-	e.heapPush(entry{at: at, seq: e.seq, slot: slot})
+	e.heapPush(entry{at: at, seq: ticket, slot: slot})
 	e.live++
 	return Handle{slot: slot + 1, gen: ev.gen}
 }

@@ -50,22 +50,11 @@ func (p *Proc) Exec(cost time.Duration, fn func()) bool {
 // remote client (which observes its RPC die with the frozen server) needs
 // the notification to keep its accounting complete.
 func (p *Proc) ExecNotify(cost time.Duration, fn, dropped func()) bool {
-	if p.paused {
+	done, ok := p.Reserve(cost)
+	if !ok {
 		dropped()
 		return false
 	}
-	if cost < 0 {
-		cost = 0
-	}
-	now := p.eng.Now()
-	start := now
-	if p.busyUntil > start {
-		start = p.busyUntil
-	}
-	done := start + cost
-	p.busyUntil = done
-	p.busy += cost
-	p.windowBusy += cost
 	p.eng.Schedule(done, func() {
 		if p.paused {
 			dropped()
@@ -74,6 +63,30 @@ func (p *Proc) ExecNotify(cost time.Duration, fn, dropped func()) bool {
 		fn()
 	})
 	return true
+}
+
+// Reserve accepts cost service time behind the current backlog and
+// returns the instant it completes, leaving the caller to schedule the
+// work there — typically a callback built once, so the hot path
+// allocates nothing. That callback must itself skip the work if the
+// processor is Paused by then, as ExecNotify's does. ok is false (and
+// nothing is accounted) while the processor is paused.
+func (p *Proc) Reserve(cost time.Duration) (done time.Duration, ok bool) {
+	if p.paused {
+		return 0, false
+	}
+	if cost < 0 {
+		cost = 0
+	}
+	start := p.eng.Now()
+	if p.busyUntil > start {
+		start = p.busyUntil
+	}
+	done = start + cost
+	p.busyUntil = done
+	p.busy += cost
+	p.windowBusy += cost
+	return done, true
 }
 
 // Charge accrues cost of work that completes logically "now" (e.g. firing
