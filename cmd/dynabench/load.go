@@ -19,17 +19,16 @@ import (
 // numbers next to the simulator's prediction for the same deployment
 // shape — the testbed↔production loop the ROADMAP asks for.
 type LoadSection struct {
-	Groups        int                        `json:"groups"`
-	NodesPerGroup int                        `json:"nodes_per_group"`
-	Conns         int                        `json:"conns"`
-	Rate          float64                    `json:"target_rate"`
-	BatchWindowUs float64                    `json:"batch_window_us"` // 0 = group commit off
-	Stages        []loadharness.StageResult  `json:"stages"`
-	Peak          loadharness.StageResult    `json:"peak"`
-	SimP99Ms      float64                    `json:"sim_p99_ms,omitempty"`
-	MeasuredP99Ms float64                    `json:"measured_p99_ms"`
-	ProposeAmp    float64                    `json:"propose_amp,omitempty"` // raft entries per client put over the whole run
-	Compare       *loadharness.CompareResult `json:"compare,omitempty"`
+	Groups        int                       `json:"groups"`
+	NodesPerGroup int                       `json:"nodes_per_group"`
+	Conns         int                       `json:"conns"`
+	Rate          float64                   `json:"target_rate"`
+	BatchWindowUs float64                   `json:"batch_window_us"` // 0 = group commit off
+	Stages        []loadharness.StageResult `json:"stages"`
+	Peak          loadharness.StageResult   `json:"peak"`
+	SimP99Ms      float64                   `json:"sim_p99_ms,omitempty"`
+	MeasuredP99Ms float64                   `json:"measured_p99_ms"`
+	ProposeAmp    float64                   `json:"propose_amp,omitempty"` // raft entries per client put over the whole run
 }
 
 // loadCmd drives the open-loop loopback harness against a real fleet:
@@ -53,9 +52,6 @@ func loadCmd(args []string) {
 		nodes      = fs.Int("nodes", 3, "nodes per group (in-process fleet)")
 		front      = fs.String("front", "", "external binary Front address (skips booting a fleet)")
 		fleetET    = fs.Duration("fleet-et", time.Second, "fleet static election timeout (heartbeat = 1/10; raise on starved CPUs so scheduling delay does not trigger elections)")
-		compare    = fs.Bool("compare", true, "run the closed-loop binary-vs-HTTP comparison")
-		cmpConns   = fs.Int("compare-conns", 64, "connections per protocol in the comparison")
-		cmpDur     = fs.Duration("compare-dur", 5*time.Second, "comparison window")
 		sim        = fs.Bool("sim", true, "run the simulator prediction for the same shape")
 		jsonPath   = fs.String("json", "", "merge a `load` section into this BENCH.json")
 		batchWin   = fs.Duration("batch-window", 200*time.Microsecond, "server-side group-commit window for the in-process fleet (0 disables batching)")
@@ -73,7 +69,7 @@ func loadCmd(args []string) {
 		BatchWindowUs: float64(*batchWin) / float64(time.Microsecond),
 	}
 
-	binAddr, httpAddr := *front, ""
+	binAddr := *front
 	var fleetBins [][]string
 	var fleet *loadharness.Fleet
 	if binAddr == "" {
@@ -93,8 +89,8 @@ func loadCmd(args []string) {
 				fleet.Stop()
 			}
 		}()
-		binAddr, httpAddr, fleetBins = fleet.BinAddr, fleet.HTTPAddr, fleet.NodeBins
-		fmt.Printf("fleet up: binary front %s, http front %s\n", binAddr, httpAddr)
+		binAddr, fleetBins = fleet.BinAddr, fleet.NodeBins
+		fmt.Printf("fleet up: binary front %s\n", binAddr)
 	}
 
 	// When Conns outruns this process's fd budget the harness re-execs
@@ -146,23 +142,6 @@ func loadCmd(args []string) {
 	if *sim {
 		fmt.Println("running simulator prediction (same groups, loopback profile)...")
 		sec.SimP99Ms = simPredictP99(*groups, *nodes, res.Peak.AchievedRate, *keys)
-	}
-
-	if *compare && httpAddr != "" {
-		fmt.Printf("closed-loop comparison: binary vs HTTP at %d connections...\n", *cmpConns)
-		cr, err := loadharness.CompareProtocols(loadharness.CompareOptions{
-			BinAddr: binAddr, HTTPAddr: httpAddr,
-			Conns: *cmpConns, Duration: *cmpDur,
-			Keys: *keys, WriteFrac: *writeFrac,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "load: compare: %v\n", err)
-			os.Exit(1)
-		}
-		sec.Compare = cr
-		fmt.Printf("  binary  %9.0f ops/s  p99 %6.2f ms\n", cr.BinOpsPerSec, cr.BinP99Ms)
-		fmt.Printf("  http    %9.0f ops/s  p99 %6.2f ms\n", cr.HTTPOpsPerSec, cr.HTTPP99Ms)
-		fmt.Printf("  speedup %.2fx\n", cr.Speedup)
 	}
 
 	var gcRes *loadharness.GroupCommitResult

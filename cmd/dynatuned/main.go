@@ -1,12 +1,13 @@
 // Command dynatuned runs one Dynatune (or baseline Raft) key-value node
-// on a real network: UDP heartbeats + TCP consensus, with an HTTP client
-// API — a laptop-scale stand-in for the paper's etcd fork.
+// on a real network: UDP heartbeats + TCP consensus, a binary client API
+// (-bin) for reads and writes, and an admin HTTP address (-http) serving
+// /status — a laptop-scale stand-in for the paper's etcd fork.
 //
-// A three-node local cluster:
+// A three-node local cluster (cmd/dynactl talks to it):
 //
-//	dynatuned -id 1 -cluster 1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103 -http 127.0.0.1:8101
-//	dynatuned -id 2 -cluster 1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103 -http 127.0.0.1:8102
-//	dynatuned -id 3 -cluster 1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103 -http 127.0.0.1:8103
+//	dynatuned -id 1 -cluster 1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103 -bin 127.0.0.1:9101 -http 127.0.0.1:8101
+//	dynatuned -id 2 -cluster 1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103 -bin 127.0.0.1:9102 -http 127.0.0.1:8102
+//	dynatuned -id 3 -cluster 1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103 -bin 127.0.0.1:9103 -http 127.0.0.1:8103
 //
 // Each node listens for TCP and UDP on its own cluster address (the same
 // port number on both protocols). -mode selects dynatune (default), raft,
@@ -35,8 +36,8 @@ func main() {
 	var (
 		id      = flag.Uint64("id", 0, "node ID (must appear in -cluster)")
 		cluster = flag.String("cluster", "", "comma-separated id=host:port pairs for every node")
-		httpA   = flag.String("http", "", "client API listen address (host:port)")
-		binA    = flag.String("bin", "", "binary client API listen address (host:port; the pipelined hot path)")
+		httpA   = flag.String("http", "", "admin /status listen address (host:port)")
+		binA    = flag.String("bin", "", "binary client API listen address (host:port; serves every read and write)")
 		mode    = flag.String("mode", "dynatune", "dynatune | raft | raft-low | fixk")
 		et      = flag.Duration("et", dynatune.DefaultEt, "fallback/static election timeout")
 		hb      = flag.Duration("h", dynatune.DefaultH, "fallback/static heartbeat interval")

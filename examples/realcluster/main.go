@@ -1,8 +1,9 @@
 // Real cluster: boots three in-process dynatuned nodes on loopback with
-// the genuine UDP/TCP transport and wall-clock timers, replicates a few
-// keys over HTTP, drives a pipelined workload through the binary Front,
-// kills the leader, and times the wall-clock failover — the non-simulated
-// counterpart of the quickstart.
+// the genuine UDP/TCP transport and wall-clock timers, writes a few keys
+// through a leader-following binary group client, drives a pipelined
+// workload through the sharded binary Front, kills the leader, times the
+// wall-clock failover, and reads the data back through the same client —
+// the non-simulated counterpart of the quickstart.
 //
 //	go run ./examples/realcluster
 package main
@@ -16,7 +17,6 @@ import (
 	"time"
 
 	"dynatune/internal/dynatune"
-	"dynatune/internal/kv"
 	"dynatune/internal/raft"
 	"dynatune/internal/server"
 	"dynatune/internal/transport"
@@ -47,12 +47,11 @@ func main() {
 	servers := map[raft.ID]*server.Server{}
 	for id := raft.ID(1); id <= 3; id++ {
 		s, err := server.Start(server.Config{
-			ID:         id,
-			Peers:      addrs,
-			Listen:     addrs[id],
-			HTTPListen: "127.0.0.1:0",
-			BinListen:  "127.0.0.1:0",
-			Tuner:      mkTuner(),
+			ID:        id,
+			Peers:     addrs,
+			Listen:    addrs[id],
+			BinListen: "127.0.0.1:0",
+			Tuner:     mkTuner(),
 			// The demo kills a node, so suppress the transport's
 			// connection-refused drop logs.
 			Logger: log.New(io.Discard, "", 0),
@@ -62,17 +61,25 @@ func main() {
 		}
 		defer s.Stop()
 		servers[id] = s
-		fmt.Printf("node %d up: raft %s, http %s\n", id, s.Addrs().TCP, s.HTTPAddr())
+		fmt.Printf("node %d up: raft %s, bin %s\n", id, s.Addrs().TCP, s.BinAddr())
 	}
 
 	lead := waitLeader(servers)
 	fmt.Printf("\nleader elected: node %d\n", lead.Status().ID)
 
+	// A group client holds every member's binary address (indexed by node
+	// ID-1) and follows not-leader hints, so it finds the leader itself.
+	binAddrs := make([]string, 0, 3)
+	for id := raft.ID(1); id <= 3; id++ {
+		binAddrs = append(binAddrs, servers[id].BinAddr())
+	}
+	gc := wireclient.NewGroupClient(binAddrs, wireclient.PoolConfig{Size: 1})
+	defer gc.Close()
 	for i := 0; i < 5; i++ {
-		key := fmt.Sprintf("city-%d", i)
-		if err := lead.Propose(kv.Command{Op: kv.OpPut, Client: 1, Seq: uint64(i + 1),
-			Key: key, Value: []byte("value")}); err != nil {
-			log.Fatal(err)
+		resp, err := gc.Call(&wireclient.Request{Op: wireclient.OpPut,
+			Key: fmt.Sprintf("city-%d", i), Value: []byte("value")})
+		if err != nil || resp.Status != wireclient.StatusOK {
+			log.Fatalf("put: %v %s", err, resp.Status)
 		}
 	}
 	fmt.Println("replicated 5 keys through the real transport")
@@ -81,10 +88,6 @@ func main() {
 	// pipeline a burst of puts and gets through ONE TCP connection: the
 	// requests coalesce into batched writes and complete out of order,
 	// demuxed by request id.
-	binAddrs := make([]string, 0, 3)
-	for id := raft.ID(1); id <= 3; id++ {
-		binAddrs = append(binAddrs, servers[id].BinAddr())
-	}
 	bf, err := server.StartBinFront("127.0.0.1:0", [][]string{binAddrs},
 		wireclient.PoolConfig{Size: 2}, log.New(io.Discard, "", 0))
 	if err != nil {
@@ -137,10 +140,13 @@ func main() {
 	newLead := waitLeader(servers)
 	fmt.Printf("node %d took over after %v (wall clock)\n", newLead.Status().ID, time.Since(start).Round(time.Millisecond))
 
-	// The data survived the failover.
-	if v, ok := newLead.Get("city-0"); ok {
-		fmt.Printf("city-0 = %q on the new leader — state intact\n", v)
+	// The data survived the failover; the group client walks past the
+	// dead member to the new leader.
+	resp, err := gc.Call(&wireclient.Request{Op: wireclient.OpGet, Key: "city-0"})
+	if err != nil || resp.Status != wireclient.StatusOK {
+		log.Fatalf("get after failover: %v %s", err, resp.Status)
 	}
+	fmt.Printf("city-0 = %q from the new leader — state intact\n", resp.Value)
 }
 
 func waitLeader(servers map[raft.ID]*server.Server) *server.Server {

@@ -13,7 +13,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"net/http"
 	"time"
 
 	"dynatune/internal/raft"
@@ -39,17 +38,13 @@ type FleetConfig struct {
 	BatchWindow time.Duration
 }
 
-// Fleet is a running loopback deployment: G groups of real servers, a
-// binary Front, and an HTTP Front over the same backends.
+// Fleet is a running loopback deployment: G groups of real servers
+// behind one binary Front.
 type Fleet struct {
 	Servers  [][]*server.Server
 	BinFront *server.BinFront
-	HTTPAddr string     // HTTP Front listen address
 	BinAddr  string     // binary Front listen address
 	NodeBins [][]string // per-group member binary addresses (worker fronts dial these)
-
-	hsrv *http.Server
-	hln  net.Listener
 }
 
 // StartFleet boots the fleet on loopback and waits for every group to
@@ -72,7 +67,6 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	f := &Fleet{}
 	binURLs := make([][]string, cfg.Groups)
-	httpURLs := make([][]string, cfg.Groups)
 	for g := 0; g < cfg.Groups; g++ {
 		srvs, err := startGroup(cfg.NodesPerGroup, cfg.Tuner, lg, cfg.BatchWindow)
 		if err != nil {
@@ -81,10 +75,8 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 		}
 		f.Servers = append(f.Servers, srvs)
 		binURLs[g] = make([]string, len(srvs))
-		httpURLs[g] = make([]string, len(srvs))
 		for i, s := range srvs {
 			binURLs[g][i] = s.BinAddr()
-			httpURLs[g][i] = "http://" + s.HTTPAddr()
 		}
 	}
 	f.NodeBins = binURLs
@@ -101,21 +93,6 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	f.BinFront = bf
 	f.BinAddr = bf.Addr()
-
-	hf, err := server.NewFront(httpURLs)
-	if err != nil {
-		f.Stop()
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		f.Stop()
-		return nil, err
-	}
-	f.hln = ln
-	f.HTTPAddr = ln.Addr().String()
-	f.hsrv = &http.Server{Handler: hf, ErrorLog: lg}
-	go f.hsrv.Serve(ln) //nolint:errcheck // exits on Stop
 	return f, nil
 }
 
@@ -144,9 +121,6 @@ func (f *Fleet) BatchStats() server.BatchStats {
 
 // Stop tears the whole fleet down.
 func (f *Fleet) Stop() {
-	if f.hsrv != nil {
-		f.hsrv.Close()
-	}
 	if f.BinFront != nil {
 		f.BinFront.Close()
 	}
@@ -179,7 +153,6 @@ func startGroup(n int, mkTuner func() raft.Tuner, lg *log.Logger, batchWindow ti
 			ID:          raft.ID(i),
 			Peers:       peers,
 			Listen:      peers[raft.ID(i)],
-			HTTPListen:  "127.0.0.1:0",
 			BinListen:   "127.0.0.1:0",
 			Tuner:       mkTuner(),
 			Logger:      lg,

@@ -157,7 +157,7 @@ func runGroupCommitMode(o GroupCommitOptions, mode string, procs int, window tim
 	}
 	defer f.Stop()
 
-	co := CompareOptions{
+	co := closedOptions{
 		BinAddr:   f.BinAddr,
 		Conns:     o.Conns,
 		Duration:  o.Duration,

@@ -2,10 +2,8 @@ package loadharness
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
-	"net/http"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -485,68 +483,19 @@ func preload(o Options) error {
 	}
 }
 
-// CompareOptions configure the closed-loop binary-vs-HTTP shoot-out at
-// equal connection count.
-type CompareOptions struct {
-	BinAddr  string
-	HTTPAddr string // host:port of the HTTP Front
-	Conns    int    // per protocol (default 64)
-	Duration time.Duration
-	// Depth is the binary pipeline depth per connection (default 16);
-	// HTTP/1.1 is inherently 1 in-flight per connection.
+// closedOptions configure a closed-loop binary run against a front: each
+// connection keeps Depth requests in flight, issuing the next as soon as
+// one returns.
+type closedOptions struct {
+	BinAddr   string
+	Conns     int
+	Duration  time.Duration
 	Depth     int
 	Keys      int
 	WriteFrac float64
 }
 
-// CompareResult reports ops/s for both protocols over the same fleet.
-type CompareResult struct {
-	Conns         int     `json:"conns"`
-	BinOpsPerSec  float64 `json:"bin_ops_per_sec"`
-	HTTPOpsPerSec float64 `json:"http_ops_per_sec"`
-	Speedup       float64 `json:"speedup"` // bin / http
-	BinP99Ms      float64 `json:"bin_p99_ms"`
-	HTTPP99Ms     float64 `json:"http_p99_ms"`
-}
-
-// CompareProtocols runs the closed-loop comparison: same fleet, same
-// connection count, binary pipelined vs HTTP request-per-connection.
-func CompareProtocols(o CompareOptions) (*CompareResult, error) {
-	if o.Conns <= 0 {
-		o.Conns = 64
-	}
-	if o.Duration <= 0 {
-		o.Duration = 5 * time.Second
-	}
-	if o.Depth <= 0 {
-		o.Depth = 16
-	}
-	if o.Keys <= 0 {
-		o.Keys = 4096
-	}
-	if _, err := RaiseFDLimit(uint64(o.Conns*4 + 4096)); err != nil {
-		return nil, err
-	}
-	res := &CompareResult{Conns: o.Conns}
-
-	binOps, binP99, err := runBinClosed(o)
-	if err != nil {
-		return nil, fmt.Errorf("loadharness: binary side: %w", err)
-	}
-	res.BinOpsPerSec, res.BinP99Ms = binOps, binP99
-
-	httpOps, httpP99, err := runHTTPClosed(o)
-	if err != nil {
-		return nil, fmt.Errorf("loadharness: http side: %w", err)
-	}
-	res.HTTPOpsPerSec, res.HTTPP99Ms = httpOps, httpP99
-	if httpOps > 0 {
-		res.Speedup = binOps / httpOps
-	}
-	return res, nil
-}
-
-func runBinClosed(o CompareOptions) (opsPerSec, p99Ms float64, err error) {
+func runBinClosed(o closedOptions) (opsPerSec, p99Ms float64, err error) {
 	conns := make([]*wireclient.Conn, o.Conns)
 	for i := range conns {
 		c, err := wireclient.Dial(o.BinAddr, 10*time.Second, wireclient.ConnConfig{})
@@ -610,64 +559,7 @@ func runBinClosed(o CompareOptions) (opsPerSec, p99Ms float64, err error) {
 	return finishClosed(&ops, recs, o.Duration)
 }
 
-func runHTTPClosed(o CompareOptions) (opsPerSec, p99Ms float64, err error) {
-	var ops atomic.Uint64
-	recs := make([]latRec, latShards)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	base := "http://" + o.HTTPAddr
-	for ci := 0; ci < o.Conns; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			// One transport per worker pins exactly one TCP connection —
-			// the equal-connection-count ground rule.
-			tr := &http.Transport{MaxIdleConnsPerHost: 1, MaxConnsPerHost: 1}
-			client := &http.Client{Transport: tr, Timeout: 10 * time.Second}
-			defer tr.CloseIdleConnections()
-			rng := rand.New(rand.NewSource(int64(ci)))
-			shard := &recs[ci%latShards]
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := fmt.Sprintf("lh-%06d", rng.Intn(o.Keys))
-				var (
-					resp *http.Response
-					err  error
-				)
-				t0 := time.Now()
-				if rng.Float64() < o.WriteFrac {
-					req, _ := http.NewRequest(http.MethodPut, base+"/kv/"+key, strings.NewReader("xxxxxxxx"))
-					resp, err = client.Do(req)
-				} else {
-					resp, err = client.Get(base + "/kv/" + key)
-				}
-				if err != nil {
-					continue
-				}
-				io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for reuse
-				resp.Body.Close()
-				if resp.StatusCode >= 500 {
-					continue
-				}
-				ops.Add(1)
-				ms := float64(time.Since(t0)) / float64(time.Millisecond)
-				shard.mu.Lock()
-				shard.lats = append(shard.lats, ms)
-				shard.mu.Unlock()
-			}
-		}(ci)
-	}
-	time.Sleep(o.Duration)
-	close(stop)
-	wg.Wait()
-	return finishClosed(&ops, recs, o.Duration)
-}
-
-func compareReq(rng *rand.Rand, o CompareOptions) wireclient.Request {
+func compareReq(rng *rand.Rand, o closedOptions) wireclient.Request {
 	key := fmt.Sprintf("lh-%06d", rng.Intn(o.Keys))
 	if rng.Float64() < o.WriteFrac {
 		return wireclient.Request{Op: wireclient.OpPut, Key: key, Value: []byte("xxxxxxxx")}

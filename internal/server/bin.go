@@ -17,8 +17,9 @@ import (
 	"dynatune/internal/wireclient"
 )
 
-// The binary API: the hot serving path beside the HTTP one. One TCP
-// connection carries many concurrent requests (demuxed by request id);
+// The binary API: the only client data path, served by every node and by
+// the sharded BinFront. One TCP connection carries many concurrent
+// requests (demuxed by request id);
 // each connection runs a reader/writer goroutine pair, a bounded inflight
 // semaphore provides backpressure, and responses batch naturally — the
 // writer flushes only when its queue runs dry, so a burst of completions
@@ -32,6 +33,12 @@ const (
 	// binDrainTimeout bounds how long shutdown waits for in-flight
 	// requests before tearing connections down.
 	binDrainTimeout = 5 * time.Second
+	// maxValueBytes caps a put's value; larger values are rejected, never
+	// truncated.
+	maxValueBytes = 1 << 20
+	// maxMultiGetKeys bounds one multiget on a node or the front; larger
+	// batches are rejected rather than amplified onto the backends.
+	maxMultiGetKeys = 1024
 )
 
 // binHandler executes one request and returns its response (the caller
@@ -215,12 +222,16 @@ func (b *binServer) close() {
 
 // --- node-side binary API ---
 
-// handleBin serves one binary request against this node: puts replicate
-// through Propose, gets default to leader lease reads (FlagLocal for a
-// local read), multigets ride one lease barrier then read locally.
+// handleBin serves one binary request against this node: puts and
+// deletes replicate through Propose; gets default to leader lease reads
+// (FlagLocal for a local read, FlagReadIndex for a ReadIndex quorum
+// round); multigets ride one lease barrier then read locally.
 // Leader-only failures answer StatusNotLeader with this node's best
-// leader hint — the in-protocol twin of misdirected()'s X-Raft-Leader.
+// leader hint.
 func (s *Server) handleBin(req wireclient.Request) wireclient.Response {
+	if msg := badRequest(&req); msg != "" {
+		return binErrf(msg)
+	}
 	resp := wireclient.Response{}
 	switch req.Op {
 	case wireclient.OpPing:
@@ -229,13 +240,10 @@ func (s *Server) handleBin(req wireclient.Request) wireclient.Response {
 		if len(req.Value) > maxValueBytes {
 			return binErrf(fmt.Sprintf("value exceeds %d bytes", maxValueBytes))
 		}
-		err := s.Propose(kv.Command{Op: kv.OpPut, Key: req.Key, Value: req.Value})
-		if errors.Is(err, raft.ErrNotLeader) {
-			return s.binMisdirected()
-		}
-		if err != nil {
-			return binErrf(err.Error())
-		}
+		return s.binPropose(kv.Command{Op: kv.OpPut, Key: req.Key, Value: req.Value})
+
+	case wireclient.OpDelete:
+		return s.binPropose(kv.Command{Op: kv.OpDelete, Key: req.Key})
 
 	case wireclient.OpGet:
 		var v []byte
@@ -244,7 +252,7 @@ func (s *Server) handleBin(req wireclient.Request) wireclient.Response {
 			v, ok = s.Get(req.Key)
 		} else {
 			var err error
-			v, ok, err = s.GetLinearizable(req.Key, true)
+			v, ok, err = s.GetLinearizable(req.Key, req.Flags&wireclient.FlagReadIndex == 0)
 			if isNotLeaderErr(err) {
 				return s.binMisdirected()
 			}
@@ -263,8 +271,8 @@ func (s *Server) handleBin(req wireclient.Request) wireclient.Response {
 			return binErrf(fmt.Sprintf("at most %d keys per multiget", maxMultiGetKeys))
 		}
 		// One lease barrier covers every key read after it: the reads are
-		// leader-local at the barrier point, same contract as the HTTP
-		// front's per-group lease reads but at 1/K the confirmation cost.
+		// leader-local at the barrier point, at 1/K the confirmation cost
+		// of K lease reads.
 		err := s.readBarrier(true)
 		if isNotLeaderErr(err) {
 			return s.binMisdirected()
@@ -282,6 +290,35 @@ func (s *Server) handleBin(req wireclient.Request) wireclient.Response {
 		return binErrf(fmt.Sprintf("bad op %d", req.Op))
 	}
 	return resp
+}
+
+// badRequest names what makes req unservable ("" if nothing): an empty
+// key on a single-key op, or both read-consistency flags at once. The
+// node and the front reject the same requests.
+func badRequest(req *wireclient.Request) string {
+	const both = wireclient.FlagLocal | wireclient.FlagReadIndex
+	if req.Flags&both == both {
+		return "FlagLocal and FlagReadIndex are exclusive"
+	}
+	switch req.Op {
+	case wireclient.OpPut, wireclient.OpGet, wireclient.OpDelete:
+		if req.Key == "" {
+			return "missing key"
+		}
+	}
+	return ""
+}
+
+// binPropose replicates cmd and maps the outcome onto a response.
+func (s *Server) binPropose(cmd kv.Command) wireclient.Response {
+	err := s.Propose(cmd)
+	if errors.Is(err, raft.ErrNotLeader) {
+		return s.binMisdirected()
+	}
+	if err != nil {
+		return binErrf(err.Error())
+	}
+	return wireclient.Response{}
 }
 
 func isNotLeaderErr(err error) bool {

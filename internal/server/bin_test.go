@@ -2,9 +2,13 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,8 +18,9 @@ import (
 	"dynatune/internal/wireclient"
 )
 
-// startBinCluster boots n servers with both HTTP and binary listeners and
-// returns the servers plus their binary addresses indexed by node ID-1.
+// startBinCluster boots n servers with both admin HTTP and binary
+// listeners and returns the servers plus their binary addresses indexed
+// by node ID-1.
 func startBinCluster(t *testing.T, n int) ([]*Server, []string) {
 	t.Helper()
 	addrs := make(map[raft.ID]transport.PeerAddr, n)
@@ -73,8 +78,84 @@ func TestBinPutGetAgainstNodes(t *testing.T) {
 	}
 }
 
+// The node's whole data API over the binary protocol — put, get, delete
+// and not-found — plus the admin /status JSON over HTTP.
+func TestBinAPI(t *testing.T) {
+	srvs, bins := startBinCluster(t, 3)
+	lead := waitLeader(t, srvs, 10*time.Second)
+
+	gc := wireclient.NewGroupClient(bins, wireclient.PoolConfig{Size: 1})
+	defer gc.Close()
+	call := func(r wireclient.Request, want wireclient.Status) wireclient.Response {
+		t.Helper()
+		resp, err := gc.Call(&r)
+		if err != nil {
+			t.Fatalf("%s %q: %v", r.Op, r.Key, err)
+		}
+		if resp.Status != want {
+			t.Fatalf("%s %q: status %s (%s), want %s", r.Op, r.Key, resp.Status, resp.Err, want)
+		}
+		return resp
+	}
+	call(wireclient.Request{Op: wireclient.OpPut, Key: "color", Value: []byte("blue")}, wireclient.StatusOK)
+	if v := call(wireclient.Request{Op: wireclient.OpGet, Key: "color"}, wireclient.StatusOK).Value; string(v) != "blue" {
+		t.Fatalf("get color = %q", v)
+	}
+	call(wireclient.Request{Op: wireclient.OpDelete, Key: "color"}, wireclient.StatusOK)
+	call(wireclient.Request{Op: wireclient.OpGet, Key: "color"}, wireclient.StatusNotFound)
+	call(wireclient.Request{Op: wireclient.OpGet, Key: "absent"}, wireclient.StatusNotFound)
+
+	resp, err := http.Get("http://" + lead.HTTPAddr() + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("status JSON: %v", err)
+	}
+	if st.State != "leader" || st.ID != lead.cfg.ID || st.Leader != st.ID {
+		t.Fatalf("status = %+v", st)
+	}
+}
+
+// The node rejects a request no handler can serve before it reaches raft:
+// an empty key on put/get/delete, or FlagLocal and FlagReadIndex set
+// together.
+func TestBinRejectsMalformedRequests(t *testing.T) {
+	srvs, bins := startBinCluster(t, 1)
+	waitLeader(t, srvs, 10*time.Second)
+	c, err := wireclient.Dial(bins[0], 2*time.Second, wireclient.ConnConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, tc := range []struct {
+		name string
+		req  wireclient.Request
+		want string
+	}{
+		{"put empty key", wireclient.Request{Op: wireclient.OpPut, Value: []byte("v")}, "missing key"},
+		{"get empty key", wireclient.Request{Op: wireclient.OpGet, Flags: wireclient.FlagLocal}, "missing key"},
+		{"delete empty key", wireclient.Request{Op: wireclient.OpDelete}, "missing key"},
+		{"local and read-index", wireclient.Request{Op: wireclient.OpGet, Key: "k",
+			Flags: wireclient.FlagLocal | wireclient.FlagReadIndex}, "exclusive"},
+	} {
+		resp, err := c.Call(&tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if resp.Status != wireclient.StatusErr || !strings.Contains(resp.Err, tc.want) {
+			t.Fatalf("%s: status %s %q, want %s %q", tc.name, resp.Status, resp.Err, wireclient.StatusErr, tc.want)
+		}
+	}
+	if _, ok := srvs[0].Get(""); ok {
+		t.Fatal("empty key was stored")
+	}
+}
+
 // A put sent straight at a follower must answer StatusNotLeader carrying
-// the real leader's id — the in-protocol twin of HTTP 421 + X-Raft-Leader.
+// the real leader's id.
 func TestBinFollowerReturnsLeaderHint(t *testing.T) {
 	srvs, bins := startBinCluster(t, 3)
 	leader := waitLeader(t, srvs, 10*time.Second)
@@ -303,5 +384,23 @@ func TestBinFrontShardedRouting(t *testing.T) {
 	}
 	if found[len(keys)] {
 		t.Fatal("missing key reported found")
+	}
+	for _, k := range byGroup {
+		if resp, err := cl.Call(&wireclient.Request{Op: wireclient.OpDelete, Key: k}); err != nil || resp.Status != wireclient.StatusOK {
+			t.Fatalf("delete %s: %v %s", k, err, resp.Status)
+		}
+		if _, err := cl.Get(k); !errors.Is(err, wireclient.ErrNotFound) {
+			t.Fatalf("get %s after delete: %v", k, err)
+		}
+	}
+}
+
+func TestBinFrontValidation(t *testing.T) {
+	quiet := log.New(io.Discard, "", 0)
+	if _, err := StartBinFront("127.0.0.1:0", nil, wireclient.PoolConfig{}, quiet); err == nil {
+		t.Fatal("expected error for empty group set")
+	}
+	if _, err := StartBinFront("127.0.0.1:0", [][]string{{}}, wireclient.PoolConfig{}, quiet); err == nil {
+		t.Fatal("expected error for group with no members")
 	}
 }

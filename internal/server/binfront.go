@@ -9,11 +9,11 @@ import (
 	"dynatune/internal/wireclient"
 )
 
-// BinFront is the binary-protocol counterpart of Front: a sharded
-// listener that partitions the keyspace across Raft groups with the same
-// epoch-versioned shard.Router, forwards each request to the owning
-// group's leader over pooled pipelined connections, and carries leader
-// redirects in-protocol (StatusNotLeader + hint) instead of HTTP 421s.
+// BinFront is the real-hardware counterpart of the shard layer's
+// simulated router: a sharded listener that partitions the keyspace
+// across Raft groups with an epoch-versioned shard.Router and forwards
+// each request to the owning group's leader over pooled pipelined
+// connections, following in-protocol leader hints (StatusNotLeader).
 // Multigets partition per group, fan out, and reassemble positionally.
 type BinFront struct {
 	router *shard.Router
@@ -70,9 +70,9 @@ func (f *BinFront) handle(req wireclient.Request) wireclient.Response {
 	case wireclient.OpPing:
 		return wireclient.Response{}
 
-	case wireclient.OpPut, wireclient.OpGet:
-		if req.Key == "" {
-			return binErrf("missing key")
+	case wireclient.OpPut, wireclient.OpGet, wireclient.OpDelete:
+		if msg := badRequest(&req); msg != "" {
+			return binErrf(msg)
 		}
 		g := f.router.Route(req.Key)
 		resp, err := f.groups[g].Call(&req)

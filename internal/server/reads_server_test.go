@@ -3,13 +3,12 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"testing"
 	"time"
 
 	"dynatune/internal/kv"
 	"dynatune/internal/raft"
+	"dynatune/internal/wireclient"
 )
 
 func TestGetLinearizableOnRealNetwork(t *testing.T) {
@@ -48,51 +47,55 @@ func TestGetLinearizableOnFollowerFails(t *testing.T) {
 	}
 }
 
-func TestHTTPConsistencyParam(t *testing.T) {
-	srvs := startClusterStatic(t, 3, fastTuner)
+// All three read modes answer on the leader; a ReadIndex read on a
+// follower is misdirected with the leader hint, since only the leader
+// can confirm its authority.
+func TestBinConsistencyFlags(t *testing.T) {
+	srvs, bins := startBinCluster(t, 3)
 	lead := waitLeader(t, srvs, 10*time.Second)
 	if err := lead.Propose(kv.Command{Op: kv.OpPut, Key: "c", Value: []byte("42")}); err != nil {
 		t.Fatal(err)
 	}
-	base := "http://" + lead.HTTPAddr()
-	for _, q := range []string{"", "?consistency=local", "?consistency=linearizable", "?consistency=lease"} {
-		resp, err := http.Get(base + "/kv/c" + q)
+	leadID := lead.Status().ID
+	conns := make([]*wireclient.Conn, len(bins))
+	for i, addr := range bins {
+		c, err := wireclient.Dial(addr, 2*time.Second, wireclient.ConnConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || string(body) != "42" {
-			t.Fatalf("GET %q: %d %q", q, resp.StatusCode, body)
+		defer c.Close()
+		conns[i] = c
+	}
+	for _, flags := range []uint8{0, wireclient.FlagLocal, wireclient.FlagReadIndex} {
+		resp, err := conns[leadID-1].Call(&wireclient.Request{Op: wireclient.OpGet, Key: "c", Flags: flags})
+		if err != nil || resp.Status != wireclient.StatusOK || string(resp.Value) != "42" {
+			t.Fatalf("get with flags %#x: %v %s %q", flags, err, resp.Status, resp.Value)
 		}
 	}
-	// Bad value rejected.
-	resp, err := http.Get(base + "/kv/c?consistency=wat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad consistency: %d, want 400", resp.StatusCode)
-	}
-	// Linearizable GET against a follower is misdirected with a hint.
-	var follower *Server
-	for _, s := range srvs {
-		if s != lead {
-			follower = s
-			break
+
+	// A follower may not have learned the leader yet (hint 0); retry
+	// briefly until one names it.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for i, c := range conns {
+			if raft.ID(i+1) == leadID {
+				continue
+			}
+			resp, err := c.Call(&wireclient.Request{Op: wireclient.OpGet, Key: "c", Flags: wireclient.FlagReadIndex})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Status != wireclient.StatusNotLeader {
+				t.Fatalf("follower ReadIndex get: status %s, want %s", resp.Status, wireclient.StatusNotLeader)
+			}
+			if resp.Leader == uint64(leadID) {
+				return
+			}
 		}
-	}
-	resp, err = http.Get("http://" + follower.HTTPAddr() + "/kv/c?consistency=linearizable")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMisdirectedRequest {
-		t.Fatalf("follower linearizable GET: %d, want 421", resp.StatusCode)
-	}
-	if resp.Header.Get("X-Raft-Leader") == "" {
-		t.Fatal("misdirected response lacks the leader hint")
+		if time.Now().After(deadline) {
+			t.Fatal("no follower's misdirected ReadIndex get named the leader")
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }
 
@@ -110,5 +113,33 @@ func TestLinearizableReadAfterWriteRealTime(t *testing.T) {
 		if err != nil || !ok || string(v) != want {
 			t.Fatalf("round %d: %q %v %v, want %q", i, v, ok, err, want)
 		}
+	}
+}
+
+// FlagReadIndex must confirm leadership with a quorum round, never ride
+// the lease alone: once both followers are gone, a ReadIndex get on the
+// old leader must not succeed even while its lease would still hold.
+func TestBinReadIndexNeedsQuorum(t *testing.T) {
+	srvs, bins := startBinCluster(t, 3)
+	lead := waitLeader(t, srvs, 10*time.Second)
+	if err := lead.Propose(kv.Command{Op: kv.OpPut, Key: "q", Value: []byte("1")}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := wireclient.Dial(bins[lead.Status().ID-1], 2*time.Second, wireclient.ConnConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, s := range srvs {
+		if s != lead {
+			s.Stop()
+		}
+	}
+	resp, err := c.Call(&wireclient.Request{Op: wireclient.OpGet, Key: "q", Flags: wireclient.FlagReadIndex})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status == wireclient.StatusOK {
+		t.Fatal("ReadIndex get served without a quorum")
 	}
 }

@@ -1,21 +1,21 @@
 // Package server runs one Dynatune/Raft node on real hardware and wall
 // clocks: it drives a raft.Node from a single event loop, uses the hybrid
-// UDP/TCP transport, applies commands to the kv store, and exposes a
-// small HTTP API (put/get/status) that cmd/dynactl and the examples use.
-// It is the real-world counterpart of internal/cluster's simulated
-// runtime — the raft.Node and tuner code are identical.
+// UDP/TCP transport, and applies commands to the kv store. Clients read
+// and write over the binary protocol (internal/wireclient), either at a
+// node directly or through the sharded BinFront; a separate HTTP listener
+// serves only the admin /status page. It is the real-world counterpart
+// of internal/cluster's simulated runtime — the raft.Node and tuner code
+// are identical.
 package server
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math/rand"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,11 +32,12 @@ type Config struct {
 	Peers map[raft.ID]transport.PeerAddr // all peers including self
 	// Listen addresses; zero ports pick ephemeral ones.
 	Listen transport.PeerAddr
-	// HTTPListen is the client API address (":0" for ephemeral).
+	// HTTPListen is the admin address serving /status ("" disables it;
+	// ":0" for ephemeral).
 	HTTPListen string
-	// BinListen is the binary client API address ("" disables it). This
-	// is the hot serving path: pipelined length-prefixed requests over
-	// one connection (see internal/wireclient).
+	// BinListen is the binary client API address ("" disables it): the
+	// only data path, pipelined length-prefixed requests over one
+	// connection (see internal/wireclient).
 	BinListen string
 	// Tuner for this node (static baseline or dynatune).
 	Tuner raft.Tuner
@@ -200,7 +201,6 @@ func Start(cfg Config) (*Server, error) {
 		}
 		s.httpl = ln
 		mux := http.NewServeMux()
-		mux.HandleFunc("/kv/", s.handleKV)
 		mux.HandleFunc("/status", s.handleStatus)
 		s.hsrv = &http.Server{Handler: mux}
 		s.wg.Add(1)
@@ -273,10 +273,10 @@ func (s *Server) onApply(ents []raft.Entry) {
 	}
 }
 
-// errProposalAborted unwraps to raft.ErrNotLeader so every client path
-// (421 + leader hint, wire NOT_LEADER status) retries against the new
-// leader; the per-command idempotence table absorbs the retry if the
-// aborted entry commits anyway.
+// errProposalAborted unwraps to raft.ErrNotLeader so the client sees
+// StatusNotLeader and retries against the new leader; the per-command
+// idempotence table absorbs the retry if the aborted entry commits
+// anyway.
 var errProposalAborted = fmt.Errorf("%w: proposal aborted by leadership change", raft.ErrNotLeader)
 
 // abortIfNotLeader fails every registered commit waiter once this node
@@ -556,7 +556,7 @@ func (s *Server) Status() Status {
 // Addrs returns the transport listen addresses.
 func (s *Server) Addrs() transport.PeerAddr { return s.tr.Addrs() }
 
-// HTTPAddr returns the client API address ("" if disabled).
+// HTTPAddr returns the admin /status address ("" if disabled).
 func (s *Server) HTTPAddr() string {
 	if s.httpl == nil {
 		return ""
@@ -577,99 +577,6 @@ func (s *Server) SetPeer(id raft.ID, pa transport.PeerAddr) { s.tr.SetPeer(id, p
 
 // Store exposes the kv state machine.
 func (s *Server) Store() *kv.Store { return s.store }
-
-// maxValueBytes caps PUT/POST value sizes on both the node API and the
-// sharded Front; larger bodies are rejected with 413, never truncated.
-const maxValueBytes = 1 << 20
-
-// misdirected answers 421 with the X-Raft-Leader hint — the one protocol
-// clients (dynactl, the sharded Front) follow to find the leader; every
-// leader-only branch must emit it through here so the contract cannot
-// drift.
-func (s *Server) misdirected(w http.ResponseWriter, msg string) {
-	w.Header().Set("X-Raft-Leader", fmt.Sprint(s.Status().Leader))
-	http.Error(w, msg, http.StatusMisdirectedRequest)
-}
-
-// readValue reads a PUT/POST value in full (a single Read may return a
-// partial TCP segment), rejecting oversize bodies with 413 rather than
-// truncating. On false the response has been written.
-func readValue(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxValueBytes+1))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	if len(body) > maxValueBytes {
-		http.Error(w, fmt.Sprintf("value exceeds %d bytes", maxValueBytes), http.StatusRequestEntityTooLarge)
-		return nil, false
-	}
-	return body, true
-}
-
-func (s *Server) handleKV(w http.ResponseWriter, req *http.Request) {
-	key := strings.TrimPrefix(req.URL.Path, "/kv/")
-	if key == "" {
-		http.Error(w, "missing key", http.StatusBadRequest)
-		return
-	}
-	switch req.Method {
-	case http.MethodGet:
-		var v []byte
-		var ok bool
-		switch c := req.URL.Query().Get("consistency"); c {
-		case "", "local":
-			v, ok = s.Get(key)
-		case "linearizable", "lease":
-			var err error
-			v, ok, err = s.GetLinearizable(key, c == "lease")
-			if errors.Is(err, raft.ErrNotLeader) || errors.Is(err, raft.ErrNotReady) || errors.Is(err, ErrReadAborted) {
-				s.misdirected(w, err.Error())
-				return
-			}
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-		default:
-			http.Error(w, "bad consistency (want local|linearizable|lease)", http.StatusBadRequest)
-			return
-		}
-		if !ok {
-			http.Error(w, "not found", http.StatusNotFound)
-			return
-		}
-		w.Write(v) //nolint:errcheck // best-effort response body
-	case http.MethodPut, http.MethodPost:
-		body, ok := readValue(w, req)
-		if !ok {
-			return
-		}
-		err := s.Propose(kv.Command{Op: kv.OpPut, Key: key, Value: body})
-		if errors.Is(err, raft.ErrNotLeader) {
-			s.misdirected(w, "not the leader")
-			return
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	case http.MethodDelete:
-		err := s.Propose(kv.Command{Op: kv.OpDelete, Key: key})
-		if errors.Is(err, raft.ErrNotLeader) {
-			s.misdirected(w, "not the leader")
-			return
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
-}
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")

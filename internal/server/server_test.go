@@ -2,10 +2,7 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"net"
-	"net/http"
-	"strings"
 	"testing"
 	"time"
 
@@ -46,11 +43,10 @@ func startClusterStatic(t *testing.T, n int, mk func() raft.Tuner) []*Server {
 	srvs := make([]*Server, n)
 	for i := 0; i < n; i++ {
 		s, err := Start(Config{
-			ID:         raft.ID(i + 1),
-			Listen:     addrs[raft.ID(i+1)],
-			HTTPListen: "127.0.0.1:0",
-			Peers:      addrs,
-			Tuner:      mk(),
+			ID:     raft.ID(i + 1),
+			Listen: addrs[raft.ID(i+1)],
+			Peers:  addrs,
+			Tuner:  mk(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -132,72 +128,6 @@ func TestProposeOnFollowerReturnsNotLeader(t *testing.T) {
 			if s.Status().State != "leader" {
 				t.Fatal("follower accepted a proposal")
 			}
-		}
-	}
-}
-
-func TestHTTPAPI(t *testing.T) {
-	srvs := startClusterStatic(t, 3, fastTuner)
-	lead := waitLeader(t, srvs, 10*time.Second)
-	base := "http://" + lead.HTTPAddr()
-
-	req, _ := http.NewRequest(http.MethodPut, base+"/kv/color", strings.NewReader("blue"))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("PUT status = %d", resp.StatusCode)
-	}
-
-	get, err := http.Get(base + "/kv/color")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(get.Body)
-	get.Body.Close()
-	if string(body) != "blue" {
-		t.Fatalf("GET = %q", body)
-	}
-
-	st, err := http.Get(base + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stBody, _ := io.ReadAll(st.Body)
-	st.Body.Close()
-	if !strings.Contains(string(stBody), `"state":"leader"`) {
-		t.Fatalf("status = %s", stBody)
-	}
-
-	// Missing key → 404.
-	nf, _ := http.Get(base + "/kv/absent")
-	nf.Body.Close()
-	if nf.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET absent = %d", nf.StatusCode)
-	}
-
-	// PUT on a follower → 421 with leader hint.
-	var follower *Server
-	for _, s := range srvs {
-		if s != lead && s.Status().State == "follower" {
-			follower = s
-			break
-		}
-	}
-	if follower != nil {
-		req, _ = http.NewRequest(http.MethodPut, "http://"+follower.HTTPAddr()+"/kv/color", strings.NewReader("red"))
-		fr, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr.Body.Close()
-		if fr.StatusCode != http.StatusMisdirectedRequest {
-			t.Fatalf("follower PUT = %d", fr.StatusCode)
-		}
-		if fr.Header.Get("X-Raft-Leader") == "" {
-			t.Fatal("no leader hint header")
 		}
 	}
 }

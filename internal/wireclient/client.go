@@ -11,16 +11,16 @@ import (
 // ErrNotFound reports an absent key from the typed helpers.
 var ErrNotFound = errors.New("wireclient: key not found")
 
-// notReadyBackoff mirrors the HTTP front's pause when a member hints at
-// itself: a freshly elected leader whose no-op or lease has not committed
-// answers not-leader with its own ID for a few milliseconds.
+// notReadyBackoff is how long Call waits, once per call, when a member
+// hints at itself: a freshly elected leader whose no-op or lease has not
+// committed answers not-leader with its own ID for a few milliseconds.
 const notReadyBackoff = 50 * time.Millisecond
 
 // GroupClient talks to the members of one Raft group over pooled
-// pipelined connections, following in-protocol StatusNotLeader hints the
-// way the HTTP front follows X-Raft-Leader. Writes are only re-sent when
-// the failure provably happened before any bytes left (a dial error) —
-// the same at-most-once discipline as the HTTP path.
+// pipelined connections, following in-protocol StatusNotLeader hints to
+// the leader. Writes (OpPut, OpDelete) are only re-sent when the failure
+// provably happened before any bytes left (a dial error), so each write
+// is applied at most once per call.
 type GroupClient struct {
 	pools []*Pool // index = node ID-1
 
@@ -77,7 +77,7 @@ func (gc *GroupClient) Call(r *Request) (Response, error) {
 		}
 		resp, err := conn.Call(r)
 		if err != nil {
-			if r.Op == OpPut {
+			if r.Op.isWrite() {
 				// The request may have reached the server before the
 				// connection died; re-sending could commit it twice.
 				return Response{}, fmt.Errorf("wireclient: write outcome unknown: %w", err)

@@ -3,9 +3,9 @@
 // so one TCP connection carries many concurrent pipelined requests, a
 // pooled connection layer with write coalescing (requests queued within a
 // small window leave as one batched write), and a sharded client that
-// follows in-protocol leader hints. It replaces HTTP on the hot path: no
-// header parsing, no per-request connection state, and responses may
-// complete out of order.
+// follows in-protocol leader hints. It is the only client data protocol
+// the nodes and the sharded front speak: no header parsing, no
+// per-request connection state, and responses may complete out of order.
 //
 // Frame layout (both directions):
 //
@@ -18,6 +18,7 @@
 //	  OpGet:      uvarint klen | key
 //	  OpMultiGet: uvarint n | n × (uvarint klen | key)
 //	  OpPing:     empty
+//	  OpDelete:   uvarint klen | key
 //
 // Response payload:
 //
@@ -47,13 +48,23 @@ const (
 	// OpPut replicates a key=value write through the owning group's leader.
 	OpPut Op = iota + 1
 	// OpGet reads a key (leader lease read by default, FlagLocal for a
-	// local read on whichever node answers).
+	// local read on whichever node answers, FlagReadIndex for a full
+	// ReadIndex quorum round on the leader).
 	OpGet
 	// OpMultiGet reads several keys in one request; results are positional.
 	OpMultiGet
 	// OpPing measures a protocol round trip without touching the store.
 	OpPing
+	// OpDelete removes a key through the owning group's leader.
+	OpDelete
 )
+
+// valid reports whether o is a defined op; both decoders reject the rest.
+func (o Op) valid() bool { return o >= OpPut && o <= OpDelete }
+
+// isWrite reports whether o changes the store. A write whose connection
+// dies mid-call may already have committed, so it is never re-sent.
+func (o Op) isWrite() bool { return o == OpPut || o == OpDelete }
 
 func (o Op) String() string {
 	switch o {
@@ -65,6 +76,8 @@ func (o Op) String() string {
 		return "multiget"
 	case OpPing:
 		return "ping"
+	case OpDelete:
+		return "delete"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}
@@ -79,8 +92,8 @@ const (
 	// StatusNotFound reports an absent key (OpGet only).
 	StatusNotFound
 	// StatusNotLeader redirects: the addressed node is not the group's
-	// leader; the payload carries its best leader hint. This is the
-	// in-protocol counterpart of the HTTP 421 + X-Raft-Leader contract.
+	// leader; the payload carries its best leader hint (node ID, 0 =
+	// unknown), which GroupClient follows.
 	StatusNotLeader
 	// StatusErr is any other failure, with a message.
 	StatusErr
@@ -101,9 +114,16 @@ func (s Status) String() string {
 	}
 }
 
-// FlagLocal requests a local (possibly stale) read instead of the default
-// leader lease read.
-const FlagLocal = 1 << 0
+// Request flags select an OpGet's consistency; with neither set the
+// leader serves a lease read. Setting both is an error.
+const (
+	// FlagLocal requests a local (possibly stale) read on whichever node
+	// answers.
+	FlagLocal = 1 << 0
+	// FlagReadIndex requests a linearizable read confirmed by a ReadIndex
+	// quorum round, never by the lease alone.
+	FlagReadIndex = 1 << 1
+)
 
 // MaxFrame bounds one protocol frame; it matches the raft wire codec's cap
 // so both serving paths share buffer classes.
@@ -147,7 +167,7 @@ func AppendRequest(buf []byte, r *Request) []byte {
 	case OpPut:
 		body = appendBytes(body, []byte(r.Key))
 		body = appendBytes(body, r.Value)
-	case OpGet:
+	case OpGet, OpDelete:
 		body = appendBytes(body, []byte(r.Key))
 	case OpMultiGet:
 		body = binary.AppendUvarint(body, uint64(len(r.Keys)))
@@ -211,6 +231,9 @@ func DecodeRequest(b []byte) (Request, error) {
 	r.ID = id
 	r.Op = Op(b[n])
 	r.Flags = b[n+1]
+	if !r.Op.valid() {
+		return r, fmt.Errorf("%w: bad op %d", ErrCorrupt, b[n])
+	}
 	rest := b[n+2:]
 	var err error
 	switch r.Op {
@@ -224,10 +247,10 @@ func DecodeRequest(b []byte) (Request, error) {
 		}
 		r.Key = string(k)
 		r.Value = append([]byte(nil), v...)
-	case OpGet:
+	case OpGet, OpDelete:
 		var k []byte
 		if k, rest, err = takeBytes(rest); err != nil {
-			return r, fmt.Errorf("%w: get key: %v", ErrCorrupt, err)
+			return r, fmt.Errorf("%w: %s key: %v", ErrCorrupt, r.Op, err)
 		}
 		r.Key = string(k)
 	case OpMultiGet:
@@ -247,9 +270,6 @@ func DecodeRequest(b []byte) (Request, error) {
 			}
 			r.Keys = append(r.Keys, string(k))
 		}
-	case OpPing:
-	default:
-		return r, fmt.Errorf("%w: bad op %d", ErrCorrupt, b[n])
 	}
 	if len(rest) != 0 {
 		return r, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
@@ -267,7 +287,7 @@ func DecodeResponse(b []byte) (Response, error) {
 	r.ID = id
 	r.Op = Op(b[n])
 	r.Status = Status(b[n+1])
-	if r.Op < OpPut || r.Op > OpPing {
+	if !r.Op.valid() {
 		return r, fmt.Errorf("%w: bad op %d", ErrCorrupt, b[n])
 	}
 	rest := b[n+2:]

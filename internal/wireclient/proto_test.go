@@ -31,6 +31,8 @@ func TestRequestRoundTrip(t *testing.T) {
 		{ID: 5, Op: OpMultiGet, Keys: []string{}},
 		{ID: 6, Op: OpPing},
 		{ID: 7, Op: OpPut, Key: "binary", Value: []byte{0, 1, 2, 0xff}},
+		{ID: 8, Op: OpDelete, Key: "gone"},
+		{ID: 9, Op: OpGet, Flags: FlagReadIndex, Key: "read-index"},
 	}
 	for i, r := range cases {
 		got := reqRoundTrip(t, r)
@@ -73,6 +75,8 @@ func TestResponseRoundTrip(t *testing.T) {
 			Multi: [][]byte{[]byte("x"), nil, []byte("")},
 			Found: []bool{true, false, true}},
 		{ID: 9, Op: OpPing, Status: StatusOK},
+		{ID: 10, Op: OpDelete, Status: StatusOK},
+		{ID: 11, Op: OpDelete, Status: StatusNotLeader, Leader: 2},
 	}
 	for i, r := range cases {
 		got := respRoundTrip(t, r)
@@ -96,23 +100,48 @@ func TestResponseRoundTrip(t *testing.T) {
 // Every truncation of a valid payload must come back as a clean error —
 // never a panic, never a bogus accept that re-encodes differently.
 func TestTruncatedPayloads(t *testing.T) {
-	req := Request{ID: 300, Op: OpPut, Key: "key", Value: []byte("value")}
-	buf := AppendRequest(nil, &req)
-	_, used := binary.Uvarint(buf)
-	payload := buf[used:]
-	for cut := 0; cut < len(payload); cut++ {
-		if _, err := DecodeRequest(payload[:cut]); err == nil {
-			t.Fatalf("request truncated at %d decoded", cut)
+	for _, req := range []Request{
+		{ID: 300, Op: OpPut, Key: "key", Value: []byte("value")},
+		{ID: 301, Op: OpDelete, Key: "key"},
+		{ID: 302, Op: OpGet, Flags: FlagReadIndex, Key: "key"},
+	} {
+		buf := AppendRequest(nil, &req)
+		_, used := binary.Uvarint(buf)
+		payload := buf[used:]
+		for cut := 0; cut < len(payload); cut++ {
+			if _, err := DecodeRequest(payload[:cut]); err == nil {
+				t.Fatalf("%s request truncated at %d decoded", req.Op, cut)
+			}
 		}
 	}
-	resp := Response{ID: 300, Op: OpMultiGet, Status: StatusOK,
-		Multi: [][]byte{[]byte("abc"), []byte("def")}, Found: []bool{true, true}}
-	rb := AppendResponse(nil, &resp)
-	_, used = binary.Uvarint(rb)
-	payload = rb[used:]
-	for cut := 0; cut < len(payload); cut++ {
-		if _, err := DecodeResponse(payload[:cut]); err == nil {
-			t.Fatalf("response truncated at %d decoded", cut)
+	for _, resp := range []Response{
+		{ID: 300, Op: OpMultiGet, Status: StatusOK,
+			Multi: [][]byte{[]byte("abc"), []byte("def")}, Found: []bool{true, true}},
+		{ID: 301, Op: OpDelete, Status: StatusNotLeader, Leader: 3},
+	} {
+		rb := AppendResponse(nil, &resp)
+		_, used := binary.Uvarint(rb)
+		payload := rb[used:]
+		for cut := 0; cut < len(payload); cut++ {
+			if _, err := DecodeResponse(payload[:cut]); err == nil {
+				t.Fatalf("%s response truncated at %d decoded", resp.Op, cut)
+			}
+		}
+	}
+}
+
+// Both decoders share one notion of a defined op: zero and the first
+// value past OpDelete are rejected in requests and responses alike.
+func TestUndefinedOpRejected(t *testing.T) {
+	for _, op := range []Op{0, OpDelete + 1} {
+		var b []byte
+		b = binary.AppendUvarint(b, 1) // id
+		b = append(b, byte(op), 0)
+		if _, err := DecodeRequest(b); err == nil {
+			t.Fatalf("request with %s decoded", op)
+		}
+		if _, err := DecodeResponse(b); err == nil {
+			t.Fatalf("response with %s decoded", op)
 		}
 	}
 }
@@ -135,6 +164,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		{ID: 2, Op: OpGet, Key: "k"},
 		{ID: 3, Op: OpMultiGet, Keys: []string{"a", "bb"}},
 		{ID: 4, Op: OpPing},
+		{ID: 5, Op: OpDelete, Key: "k"},
+		{ID: 6, Op: OpGet, Flags: FlagReadIndex, Key: "k"},
 	} {
 		buf := AppendRequest(nil, &r)
 		_, used := binary.Uvarint(buf)
@@ -165,6 +196,8 @@ func FuzzDecodeResponse(f *testing.F) {
 		{ID: 2, Op: OpPut, Status: StatusNotLeader, Leader: 2},
 		{ID: 3, Op: OpMultiGet, Status: StatusOK, Multi: [][]byte{[]byte("v")}, Found: []bool{true}},
 		{ID: 4, Op: OpGet, Status: StatusErr, Err: "x"},
+		{ID: 5, Op: OpDelete, Status: StatusOK},
+		{ID: 6, Op: OpDelete, Status: StatusNotLeader, Leader: 1},
 	} {
 		buf := AppendResponse(nil, &r)
 		_, used := binary.Uvarint(buf)
