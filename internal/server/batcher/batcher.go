@@ -40,7 +40,8 @@ const (
 	FlushOps
 	// FlushBytes: the byte cap filled.
 	FlushBytes
-	// FlushDrain: the batcher is shutting down or aborting.
+	// FlushDrain: Drain forced the queue out, either as a barrier
+	// (Drain(nil)) or on shutdown or abort.
 	FlushDrain
 )
 

@@ -395,6 +395,41 @@ func TestBinFrontShardedRouting(t *testing.T) {
 	}
 }
 
+// An idle request never waits a coalesce window: with both connection
+// windows on the path set to 1 s (client → Front, Front → node), serial
+// Puts through a BinFront still finish in milliseconds. Group commit
+// stays off here: with it on, every Put still waits its window.
+func TestIdlePutSkipsWindows(t *testing.T) {
+	const window = time.Second
+	srvs, bins := startBinCluster(t, 3)
+	waitLeader(t, srvs, 10*time.Second)
+	slow := wireclient.ConnConfig{CoalesceWindow: window}
+	f, err := StartBinFront("127.0.0.1:0", [][]string{bins}, wireclient.PoolConfig{Size: 1, Conn: slow}, log.New(io.Discard, "", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c, err := wireclient.Dial(f.Addr(), time.Second, slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// The first Put may find the Front still learning the leader.
+	if resp, err := c.Call(&wireclient.Request{Op: wireclient.OpPut, Key: "warm", Value: []byte("v")}); err != nil || resp.Status != wireclient.StatusOK {
+		t.Fatalf("warm-up put: %v %s", err, resp.Status)
+	}
+	for i := 0; i < 10; i++ {
+		t0 := time.Now()
+		resp, err := c.Call(&wireclient.Request{Op: wireclient.OpPut, Key: fmt.Sprintf("idle-%d", i), Value: []byte("v")})
+		if err != nil || resp.Status != wireclient.StatusOK {
+			t.Fatalf("put %d: %v %s (%s)", i, err, resp.Status, resp.Err)
+		}
+		if d := time.Since(t0); d > 100*time.Millisecond {
+			t.Fatalf("idle put %d took %v: it waited a window", i, d)
+		}
+	}
+}
+
 func TestBinFrontValidation(t *testing.T) {
 	quiet := log.New(io.Discard, "", 0)
 	if _, err := StartBinFront("127.0.0.1:0", nil, wireclient.PoolConfig{}, quiet); err == nil {

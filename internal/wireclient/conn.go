@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dynatune/internal/wire"
@@ -16,10 +17,13 @@ import (
 // ErrClosed reports an operation on a closed connection.
 var ErrClosed = errors.New("wireclient: connection closed")
 
-// DefaultCoalesceWindow is how long a queued request may wait for
-// companions before its batch is flushed. Small enough to be invisible
-// next to a replication round trip, large enough that concurrent callers
-// on one connection share a single syscall.
+// DefaultCoalesceWindow is how long the writer gathers companions for a
+// request issued on a busy connection (one with responses outstanding)
+// before it flushes the batch. A request on an idle connection leaves at
+// once: nothing is in flight for it to join, and a sub-ms sleep on an
+// idle process lasts ~1 ms. Small enough to be invisible next to a
+// replication round trip, large enough that concurrent callers on a busy
+// connection share a single syscall.
 const DefaultCoalesceWindow = 200 * time.Microsecond
 
 // flushThreshold flushes a batch early once this many bytes are queued,
@@ -28,8 +32,10 @@ const flushThreshold = 64 << 10
 
 // ConnConfig tunes a single pipelined connection.
 type ConnConfig struct {
-	// CoalesceWindow overrides DefaultCoalesceWindow; < 0 disables
-	// coalescing (every request flushes immediately).
+	// CoalesceWindow overrides DefaultCoalesceWindow, the wait for
+	// companions when the connection is busy; a request on an idle
+	// connection never waits it. < 0 disables coalescing (every request
+	// flushes immediately).
 	CoalesceWindow time.Duration
 	// ReadBuffer sizes the read side (default 64 KiB).
 	ReadBuffer int
@@ -43,7 +49,10 @@ type call struct {
 // Conn is one pipelined binary-protocol connection. Many goroutines may
 // issue requests concurrently; a writer goroutine coalesces them into
 // batched writes and a reader goroutine demultiplexes responses by
-// request id, so slow requests never block fast ones behind them.
+// request id, so slow requests never block fast ones behind them. The
+// writer flushes at once when a request finds nothing in flight, and
+// otherwise waits the coalesce window for companions (group commit: the
+// first arrival leads, later ones join the next write).
 type Conn struct {
 	nc     net.Conn
 	window time.Duration
@@ -55,9 +64,13 @@ type Conn struct {
 	err     error
 	closed  bool
 
-	kick chan struct{}
-	done chan struct{} // closed when the reader exits
-	wg   sync.WaitGroup
+	// urgent tells the writer to skip its coalesce window: set by a
+	// request that found nothing in flight or filled the buffer, and on
+	// failure.
+	urgent atomic.Bool
+	kick   chan struct{}
+	done   chan struct{} // closed when the reader exits
+	wg     sync.WaitGroup
 }
 
 // NewConn wraps an established net.Conn.
@@ -109,22 +122,19 @@ func (c *Conn) Do(r *Request, cb func(Response, error)) {
 		cb(Response{}, err)
 		return
 	}
+	idle := len(c.pending) == 0
 	c.nextID++
 	r.ID = c.nextID
 	c.pending[r.ID] = call{op: r.Op, cb: cb}
 	c.wbuf = AppendRequest(c.wbuf, r)
-	full := len(c.wbuf) >= flushThreshold
-	c.mu.Unlock()
-	if full || c.window == 0 {
-		c.kickWriter()
-	} else {
-		// Lazy kick: the writer sleeps the coalesce window after waking,
-		// so one kick covers every request queued inside the window.
-		select {
-		case c.kick <- struct{}{}:
-		default:
-		}
+	if idle || len(c.wbuf) >= flushThreshold {
+		c.urgent.Store(true)
 	}
+	c.mu.Unlock()
+	// An urgent kick skips the writer's coalesce window. Any other kick is
+	// lazy: the writer sleeps the window after waking, so one kick covers
+	// every request queued inside it.
+	c.kickWriter()
 }
 
 // Call issues req and waits for its response.
@@ -183,7 +193,8 @@ func (c *Conn) fail(err error) {
 	c.wbuf = nil
 	c.mu.Unlock()
 	c.nc.Close()
-	c.kickWriter() // let the writer observe closure
+	c.urgent.Store(true) // no coalesce wait: the writer just exits
+	c.kickWriter()       // let the writer observe closure
 	for _, cl := range pend {
 		cl.cb(Response{}, err)
 	}
@@ -198,7 +209,7 @@ func (c *Conn) writeLoop() {
 		case <-c.done:
 			return
 		}
-		if c.window > 0 {
+		if c.window > 0 && !c.urgent.Swap(false) {
 			time.Sleep(c.window) // gather companions
 		}
 		c.mu.Lock()

@@ -23,7 +23,7 @@ type stubServer struct {
 	wg     sync.WaitGroup
 }
 
-func startStub(t *testing.T, handle func(Request) Response) *stubServer {
+func startStub(t testing.TB, handle func(Request) Response) *stubServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -175,7 +175,14 @@ func TestConnPipelinesConcurrentRequests(t *testing.T) {
 // Requests issued within the coalesce window should leave as few batched
 // writes, not one TCP segment each.
 func TestConnWriteCoalescing(t *testing.T) {
-	s := startStub(t, echoHandler)
+	arrived, release := make(chan struct{}), make(chan struct{})
+	s := startStub(t, func(req Request) Response {
+		if req.Key == "held" {
+			close(arrived)
+			<-release
+		}
+		return echoHandler(req)
+	})
 	c, err := Dial(s.ln.Addr().String(), time.Second, ConnConfig{CoalesceWindow: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +192,11 @@ func TestConnWriteCoalescing(t *testing.T) {
 	if _, err := c.Call(&Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}
+	// Hold one request at the server so the connection stays busy: the
+	// requests below each find one pending and must wait for companions.
+	held := make(chan error, 1)
+	c.Do(&Request{Op: OpGet, Key: "held"}, func(_ Response, err error) { held <- err })
+	<-arrived
 	base := s.reads.Load()
 	const N = 50
 	var wg sync.WaitGroup
@@ -194,10 +206,55 @@ func TestConnWriteCoalescing(t *testing.T) {
 	}
 	wg.Wait()
 	got := s.reads.Load() - base
-	// 50 un-coalesced requests would be ~50 reads; batched they should
-	// arrive in a small handful. Allow slack for scheduling skew.
-	if got > N/2 {
-		t.Fatalf("server saw %d reads for %d coalesced requests", got, N)
+	// 50 un-coalesced requests would be ~50 reads; issued inside one
+	// window they leave as one write. Allow slack for a descheduled loop.
+	if got > 3 {
+		t.Fatalf("server saw %d reads for %d requests issued behind a pending one", got, N)
+	}
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A request that finds nothing in flight leaves at once: even an hour-long
+// coalesce window is never waited on an idle connection.
+func TestConnIdleCallSkipsWindow(t *testing.T) {
+	s := startStub(t, echoHandler)
+	c, err := Dial(s.ln.Addr().String(), time.Second, ConnConfig{CoalesceWindow: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		done := make(chan error, 1)
+		c.Do(&Request{Op: OpPing}, func(_ Response, err error) { done <- err })
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(500 * time.Millisecond):
+			t.Fatalf("idle call %d still pending after 500ms: it is waiting the coalesce window", i)
+		}
+	}
+}
+
+// BenchmarkConnCallIdle times one request on an idle connection against a
+// loopback echo server: the client's side of a serial request stream.
+func BenchmarkConnCallIdle(b *testing.B) {
+	s := startStub(b, echoHandler)
+	c, err := Dial(s.ln.Addr().String(), time.Second, ConnConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	req := Request{Op: OpPing}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := c.Call(&req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
