@@ -57,11 +57,10 @@ type ScenarioWall struct {
 }
 
 // GroupsPoint is one G of the multi-Raft groups-scaling curve: a fixed
-// open-loop ramp over a G-group consolidated deployment, with the
-// pre-consolidation per-group-mesh build run on the same profile for
-// comparison (up to -legacy-max). AggOpsPerSec is committed requests per
-// virtual second (capacity); OpsPerWallSec and EventsPerWallSec measure
-// the simulator itself — the quantity the consolidation exists to scale.
+// open-loop ramp over a G-group consolidated deployment. AggOpsPerSec is
+// committed requests per virtual second (capacity); OpsPerWallSec and
+// EventsPerWallSec measure the simulator itself — the quantity the
+// consolidation exists to scale.
 type GroupsPoint struct {
 	Groups           int     `json:"groups"`
 	OfferedRPS       int     `json:"offered_rps"`
@@ -76,12 +75,6 @@ type GroupsPoint struct {
 	LogicalMsgs  uint64  `json:"logical_msgs"`
 	WireMsgs     uint64  `json:"wire_msgs"`
 	MsgReduction float64 `json:"msg_reduction"`
-	// Legacy* report the per-group-mesh build of the same point; Speedup
-	// is consolidated over legacy ops-per-wall-second. Zero when the
-	// legacy run was skipped (-legacy-max).
-	LegacyWallMs        float64 `json:"legacy_wall_ms,omitempty"`
-	LegacyOpsPerWallSec float64 `json:"legacy_ops_per_wall_sec,omitempty"`
-	Speedup             float64 `json:"speedup,omitempty"`
 }
 
 // BenchReport is the BENCH.json schema: the per-PR perf trajectory record
@@ -135,8 +128,8 @@ type groupsRun struct {
 // the aggregate offered rate grows with G (300 req/s per group) up to a
 // cap, so small points measure scaling and large points measure the
 // simulator under heavy fan-out. Seeds and ramp are fixed — the only
-// variable across a curve is G and the transport build.
-func runGroupsRamp(groups int, perGroupMesh bool) groupsRun {
+// variable across a curve is G.
+func runGroupsRamp(groups int) groupsRun {
 	aggRPS := 300 * groups
 	if aggRPS > 8000 {
 		aggRPS = 8000
@@ -145,7 +138,6 @@ func runGroupsRamp(groups int, perGroupMesh bool) groupsRun {
 	s := shard.New(shard.Options{
 		Groups: groups, NodesPerGroup: 3, Seed: 77,
 		Variant: cluster.VariantRaft(), Profile: stable100(),
-		PerGroupMesh: perGroupMesh,
 	})
 	lg := shard.NewLoadGen(s, ramp, shard.LoadOptions{Keys: 4096})
 	s.Start()
@@ -178,21 +170,21 @@ func runGroupsRamp(groups int, perGroupMesh bool) groupsRun {
 // is its least-noise estimator.
 const groupsReps = 3
 
-// runGroupsBest runs one curve configuration groupsReps times and keeps
-// the rep with the lowest wall time.
-func runGroupsBest(groups int, perGroupMesh bool) groupsRun {
-	best := runGroupsRamp(groups, perGroupMesh)
+// runGroupsBest runs one curve point groupsReps times and keeps the rep
+// with the lowest wall time.
+func runGroupsBest(groups int) groupsRun {
+	best := runGroupsRamp(groups)
 	for i := 1; i < groupsReps; i++ {
-		if r := runGroupsRamp(groups, perGroupMesh); r.wall < best.wall {
+		if r := runGroupsRamp(groups); r.wall < best.wall {
 			best = r
 		}
 	}
 	return best
 }
 
-// runGroupsPoint runs the consolidated build of one curve point.
+// runGroupsPoint runs one curve point.
 func runGroupsPoint(groups int) GroupsPoint {
-	r := runGroupsBest(groups, false)
+	r := runGroupsBest(groups)
 	pt := GroupsPoint{
 		Groups:       groups,
 		OfferedRPS:   r.offered,
@@ -229,9 +221,8 @@ func bench(args []string) {
 	jsonPath := fs.String("json", "", "write the report as JSON to this path (e.g. BENCH.json)")
 	trials := fs.Int("trials", 150, "election trials for the parallel-runner timing")
 	groupsCurve := fs.Bool("groups-curve", false, "run the multi-Raft groups-scaling curve")
-	compactionCurve := fs.Bool("compaction-curve", false, "run the log-compaction growth curve and migration-mode comparison")
+	compactionCurve := fs.Bool("compaction-curve", false, "run the log-compaction growth curve and the snapshot-shipped migration cost")
 	groupsList := fs.String("groups", "1,2,4,8,16,32,64,128,256", "comma-separated group counts for -groups-curve")
-	legacyMax := fs.Int("legacy-max", 64, "largest G to also run on the per-group-mesh build for comparison")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
 	rep := BenchReport{
@@ -350,32 +341,18 @@ func bench(args []string) {
 	}
 
 	if *groupsCurve {
-		fmt.Println("== Multi-Raft groups-scaling curve (consolidated vs per-group-mesh) ==")
+		fmt.Println("== Multi-Raft groups-scaling curve ==")
 		for _, g := range parseGroupsList(*groupsList) {
 			pt := runGroupsPoint(g)
-			if g <= *legacyMax {
-				lr := runGroupsBest(g, true)
-				pt.LegacyWallMs = float64(lr.wall) / float64(time.Millisecond)
-				if lr.wall > 0 {
-					pt.LegacyOpsPerWallSec = float64(lr.completed) / lr.wall.Seconds()
-				}
-				if pt.LegacyOpsPerWallSec > 0 {
-					pt.Speedup = pt.OpsPerWallSec / pt.LegacyOpsPerWallSec
-				}
-			}
 			rep.GroupsCurve = append(rep.GroupsCurve, pt)
-			fmt.Printf("  G=%-4d %7d ops (%6.0f ops/vs) wall %7.0f ms  %11.0f ev/s  msgs %9d→%8d (%4.1fx)",
+			fmt.Printf("  G=%-4d %7d ops (%6.0f ops/vs) wall %7.0f ms  %11.0f ev/s  msgs %9d→%8d (%4.1fx)\n",
 				pt.Groups, pt.Completed, pt.AggOpsPerSec, pt.WallMs, pt.EventsPerWallSec,
 				pt.LogicalMsgs, pt.WireMsgs, pt.MsgReduction)
-			if pt.Speedup > 0 {
-				fmt.Printf("  legacy %7.0f ms (%4.2fx)", pt.LegacyWallMs, pt.Speedup)
-			}
-			fmt.Println()
 		}
 	}
 
 	if *compactionCurve {
-		fmt.Println("== Compaction curve (bounded logs + snapshot-ship vs key-stream migration) ==")
+		fmt.Println("== Compaction curve (bounded logs + snapshot-shipped migration) ==")
 		rep.Compaction = runCompactionCurve()
 	}
 

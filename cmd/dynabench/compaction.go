@@ -20,10 +20,9 @@ type LogCurvePoint struct {
 	Bytes   uint64  `json:"bytes"`
 }
 
-// MigrationBench is one bulk-move measurement: the same scale-out
-// (1 group → 2, fixed resident set) run in one of the two transfer modes.
+// MigrationBench is one bulk-move measurement: a snapshot-shipped
+// scale-out (1 group → 2, fixed resident set).
 type MigrationBench struct {
-	Mode        string  `json:"mode"` // "snapshot-ship" | "key-stream"
 	Keys        int     `json:"keys"`
 	MovedKeys   int     `json:"moved_keys"`
 	BulkChunks  int     `json:"bulk_chunks"`
@@ -35,14 +34,13 @@ type MigrationBench struct {
 
 // CompactionCurve is the BENCH.json section for the snapshot/compaction
 // subsystem: log growth with and without a retention policy under the
-// same sustained load, plus the snapshot-ship vs key-stream migration
-// comparison.
+// same sustained load, plus the cost of a snapshot-shipped migration.
 type CompactionCurve struct {
-	Policy             []LogCurvePoint  `json:"policy"`
-	Unbounded          []LogCurvePoint  `json:"unbounded"`
-	PolicyPeakBytes    uint64           `json:"policy_peak_bytes"`
-	UnboundedPeakBytes uint64           `json:"unbounded_peak_bytes"`
-	Migrations         []MigrationBench `json:"migrations"`
+	Policy             []LogCurvePoint `json:"policy"`
+	Unbounded          []LogCurvePoint `json:"unbounded"`
+	PolicyPeakBytes    uint64          `json:"policy_peak_bytes"`
+	UnboundedPeakBytes uint64          `json:"unbounded_peak_bytes"`
+	Migration          MigrationBench  `json:"migration"`
 }
 
 // runLogCurve drives a fixed sustained load over a 2-group deployment and
@@ -77,15 +75,10 @@ func runLogCurve(policy raft.SnapshotPolicy) []LogCurvePoint {
 // runMigrationBench seeds `keys` keys into a 1-group deployment (via a
 // direct snapshot restore, standing in for a long-lived resident set) and
 // times the live scale-out to 2 groups.
-func runMigrationBench(keys int, keyStream bool) MigrationBench {
-	mode := "snapshot-ship"
-	if keyStream {
-		mode = "key-stream"
-	}
+func runMigrationBench(keys int) MigrationBench {
 	s := shard.New(shard.Options{
 		Groups: 1, NodesPerGroup: 1, Seed: 97,
 		Variant: cluster.VariantRaft(), Profile: stable100(),
-		MigrateKeyStream: keyStream,
 	})
 	fix := kv.NewStore()
 	ents := make([]raft.Entry, 0, keys)
@@ -116,12 +109,12 @@ func runMigrationBench(keys int, keyStream bool) MigrationBench {
 	}
 	rb := s.Rebalances()
 	if len(rb) != 1 || rb[0].Aborted {
-		fmt.Fprintf(os.Stderr, "bench: compaction-curve %s migration did not complete\n", mode)
+		fmt.Fprintln(os.Stderr, "bench: compaction-curve migration did not complete")
 		os.Exit(1)
 	}
 	st := rb[0]
 	return MigrationBench{
-		Mode: mode, Keys: keys, MovedKeys: st.MovedKeys,
+		Keys: keys, MovedKeys: st.MovedKeys,
 		BulkChunks: st.BulkChunks, DrainRounds: st.DrainRounds, ProposeOps: st.ProposeOps,
 		VirtualMs: st.DoneMs - st.StartMs,
 		WallMs:    float64(time.Since(start)) / float64(time.Millisecond),
@@ -150,11 +143,9 @@ func runCompactionCurve() *CompactionCurve {
 		len(cc.Policy), cc.PolicyPeakBytes, cc.UnboundedPeakBytes,
 		float64(cc.UnboundedPeakBytes)/float64(cc.PolicyPeakBytes))
 	const migrKeys = 40_000
-	for _, keyStream := range []bool{false, true} {
-		mb := runMigrationBench(migrKeys, keyStream)
-		cc.Migrations = append(cc.Migrations, mb)
-		fmt.Printf("  migrate %d keys (%s): moved %d, %d propose ops, %d chunks, %d drain rounds, %.0f virtual ms, %.0f wall ms\n",
-			mb.Keys, mb.Mode, mb.MovedKeys, mb.ProposeOps, mb.BulkChunks, mb.DrainRounds, mb.VirtualMs, mb.WallMs)
-	}
+	mb := runMigrationBench(migrKeys)
+	cc.Migration = mb
+	fmt.Printf("  migrate %d keys: moved %d, %d propose ops, %d chunks, %d drain rounds, %.0f virtual ms, %.0f wall ms\n",
+		mb.Keys, mb.MovedKeys, mb.ProposeOps, mb.BulkChunks, mb.DrainRounds, mb.VirtualMs, mb.WallMs)
 	return cc
 }

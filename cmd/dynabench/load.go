@@ -23,7 +23,6 @@ type LoadSection struct {
 	NodesPerGroup int                       `json:"nodes_per_group"`
 	Conns         int                       `json:"conns"`
 	Rate          float64                   `json:"target_rate"`
-	BatchWindowUs float64                   `json:"batch_window_us"` // 0 = group commit off
 	Stages        []loadharness.StageResult `json:"stages"`
 	Peak          loadharness.StageResult   `json:"peak"`
 	SimP99Ms      float64                   `json:"sim_p99_ms,omitempty"`
@@ -54,41 +53,28 @@ func loadCmd(args []string) {
 		fleetET    = fs.Duration("fleet-et", time.Second, "fleet static election timeout (heartbeat = 1/10; raise on starved CPUs so scheduling delay does not trigger elections)")
 		sim        = fs.Bool("sim", true, "run the simulator prediction for the same shape")
 		jsonPath   = fs.String("json", "", "merge a `load` section into this BENCH.json")
-		batchWin   = fs.Duration("batch-window", 200*time.Microsecond, "server-side group-commit window for the in-process fleet (0 disables batching)")
 		pprofPath  = fs.String("pprof", "", "write a CPU profile covering the peak stage to this path")
 		pinCores   = fs.Bool("pin-cores", true, "pin sharded load workers to distinct CPUs (skipped on a single-core host)")
-		groupCmt   = fs.Bool("group-commit", false, "run the batched-vs-per-request group-commit comparison (boots its own fleets)")
-		gcConns    = fs.Int("gc-conns", 1024, "connections per mode in the group-commit comparison")
-		gcDepth    = fs.Int("gc-depth", 4, "pipeline depth per connection in the group-commit comparison")
-		gcDur      = fs.Duration("gc-dur", 5*time.Second, "group-commit comparison window per mode")
 	)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
-	sec := LoadSection{
-		Groups: *groups, NodesPerGroup: *nodes, Conns: *conns, Rate: *rate,
-		BatchWindowUs: float64(*batchWin) / float64(time.Microsecond),
-	}
+	sec := LoadSection{Groups: *groups, NodesPerGroup: *nodes, Conns: *conns, Rate: *rate}
 
 	binAddr := *front
 	var fleetBins [][]string
 	var fleet *loadharness.Fleet
 	if binAddr == "" {
-		fmt.Printf("booting %d×%d loopback fleet (batch window %v)...\n", *groups, *nodes, *batchWin)
+		fmt.Printf("booting %d×%d loopback fleet...\n", *groups, *nodes)
 		var err error
 		fleet, err = loadharness.StartFleet(loadharness.FleetConfig{
 			Groups: *groups, NodesPerGroup: *nodes,
-			Tuner:       func() raft.Tuner { return raft.NewStaticTuner(*fleetET, *fleetET/10) },
-			BatchWindow: *batchWin,
+			Tuner: func() raft.Tuner { return raft.NewStaticTuner(*fleetET, *fleetET/10) },
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "load: %v\n", err)
 			os.Exit(1)
 		}
-		defer func() {
-			if fleet != nil {
-				fleet.Stop()
-			}
-		}()
+		defer fleet.Stop()
 		binAddr, fleetBins = fleet.BinAddr, fleet.NodeBins
 		fmt.Printf("fleet up: binary front %s\n", binAddr)
 	}
@@ -144,36 +130,6 @@ func loadCmd(args []string) {
 		sec.SimP99Ms = simPredictP99(*groups, *nodes, res.Peak.AchievedRate, *keys)
 	}
 
-	var gcRes *loadharness.GroupCommitResult
-	if *groupCmt {
-		if fleet != nil {
-			// The comparison boots its own fleets; keeping the main fleet
-			// (and its idle conns) alive would only steal CPU from the
-			// measurement.
-			fleet.Stop()
-			fleet = nil
-		}
-		fmt.Printf("group-commit comparison: batched vs per-request at %d conns × depth %d...\n", *gcConns, *gcDepth)
-		gcRes, err = loadharness.RunGroupCommitCompare(loadharness.GroupCommitOptions{
-			Conns:       *gcConns,
-			Depth:       *gcDepth,
-			Duration:    *gcDur,
-			Keys:        *keys,
-			BatchWindow: *batchWin,
-			Progress:    func(line string) { fmt.Println("  " + line) },
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "load: group commit: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("  %-12s %6s %10s %8s %8s %10s\n", "mode", "procs", "ops/s", "p99 ms", "amp", "mean batch")
-		for _, r := range gcRes.Rows {
-			fmt.Printf("  %-12s %6d %10.0f %8.2f %8.3f %10.1f\n",
-				r.Mode, r.Procs, r.OpsPerSec, r.P99Ms, r.ProposeAmp, r.MeanBatch)
-		}
-		fmt.Printf("  batched/per-request speedup: %.2fx\n", gcRes.Speedup)
-	}
-
 	fmt.Println("\nsim-predicted vs measured p99 (peak stage):")
 	fmt.Printf("  %-12s %10s %10s %10s %10s\n", "", "rate/s", "p99 ms", "p999 ms", "sla frac")
 	if *sim {
@@ -186,12 +142,6 @@ func loadCmd(args []string) {
 		if err := mergeSection(*jsonPath, "load", sec); err != nil {
 			fmt.Fprintf(os.Stderr, "load: %v\n", err)
 			os.Exit(1)
-		}
-		if gcRes != nil {
-			if err := mergeSection(*jsonPath, "group_commit", gcRes); err != nil {
-				fmt.Fprintf(os.Stderr, "load: %v\n", err)
-				os.Exit(1)
-			}
 		}
 		fmt.Printf("merged load section into %s\n", *jsonPath)
 	}
@@ -218,8 +168,7 @@ func simPredictP99(groups, nodes int, rate float64, keys int) float64 {
 }
 
 // mergeSection read-modify-writes path as a generic JSON object so the
-// `load` and `group_commit` entries compose with whatever `dynabench
-// bench` wrote.
+// `load` entry composes with whatever `dynabench bench` wrote.
 func mergeSection(path, key string, sec any) error {
 	doc := map[string]json.RawMessage{}
 	if data, err := os.ReadFile(path); err == nil {

@@ -33,9 +33,6 @@ type FleetConfig struct {
 	// Logger receives node logs (default: discard — 100k-conn runs drown
 	// stdout otherwise).
 	Logger *log.Logger
-	// BatchWindow enables server-side group commit on every node (see
-	// server.Config.BatchWindow). Zero leaves batching off.
-	BatchWindow time.Duration
 }
 
 // Fleet is a running loopback deployment: G groups of real servers
@@ -68,7 +65,7 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 	f := &Fleet{}
 	binURLs := make([][]string, cfg.Groups)
 	for g := 0; g < cfg.Groups; g++ {
-		srvs, err := startGroup(cfg.NodesPerGroup, cfg.Tuner, lg, cfg.BatchWindow)
+		srvs, err := startGroup(cfg.NodesPerGroup, cfg.Tuner, lg)
 		if err != nil {
 			f.Stop()
 			return nil, fmt.Errorf("loadharness: group %d: %w", g, err)
@@ -134,7 +131,7 @@ func (f *Fleet) Stop() {
 }
 
 // startGroup boots one n-node Raft group on loopback ephemeral ports.
-func startGroup(n int, mkTuner func() raft.Tuner, lg *log.Logger, batchWindow time.Duration) ([]*server.Server, error) {
+func startGroup(n int, mkTuner func() raft.Tuner, lg *log.Logger) ([]*server.Server, error) {
 	peers := map[raft.ID]transport.PeerAddr{}
 	for i := 1; i <= n; i++ {
 		tcp, err := reservePort("tcp")
@@ -150,13 +147,12 @@ func startGroup(n int, mkTuner func() raft.Tuner, lg *log.Logger, batchWindow ti
 	srvs := make([]*server.Server, 0, n)
 	for i := 1; i <= n; i++ {
 		s, err := server.Start(server.Config{
-			ID:          raft.ID(i),
-			Peers:       peers,
-			Listen:      peers[raft.ID(i)],
-			BinListen:   "127.0.0.1:0",
-			Tuner:       mkTuner(),
-			Logger:      lg,
-			BatchWindow: batchWindow,
+			ID:        raft.ID(i),
+			Peers:     peers,
+			Listen:    peers[raft.ID(i)],
+			BinListen: "127.0.0.1:0",
+			Tuner:     mkTuner(),
+			Logger:    lg,
 		})
 		if err != nil {
 			for _, p := range srvs {

@@ -482,101 +482,3 @@ func preload(o Options) error {
 		return nil
 	}
 }
-
-// closedOptions configure a closed-loop binary run against a front: each
-// connection keeps Depth requests in flight, issuing the next as soon as
-// one returns.
-type closedOptions struct {
-	BinAddr   string
-	Conns     int
-	Duration  time.Duration
-	Depth     int
-	Keys      int
-	WriteFrac float64
-}
-
-func runBinClosed(o closedOptions) (opsPerSec, p99Ms float64, err error) {
-	conns := make([]*wireclient.Conn, o.Conns)
-	for i := range conns {
-		c, err := wireclient.Dial(o.BinAddr, 10*time.Second, wireclient.ConnConfig{})
-		if err != nil {
-			for _, p := range conns[:i] {
-				p.Close()
-			}
-			return 0, 0, err
-		}
-		conns[i] = c
-	}
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
-
-	var ops atomic.Uint64
-	var errN atomic.Uint64
-	recs := make([]latRec, latShards)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for ci, c := range conns {
-		// Each connection keeps Depth requests in flight: the callback
-		// immediately issues the successor — closed-loop per slot.
-		for d := 0; d < o.Depth; d++ {
-			wg.Add(1)
-			seed := int64(ci*o.Depth + d)
-			go func(c *wireclient.Conn, shard *latRec, seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed))
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					req := compareReq(rng, o)
-					t0 := time.Now()
-					resp, err := c.Call(&req)
-					if err != nil {
-						errN.Add(1)
-						return // conn dead; slot retires
-					}
-					if resp.Status == wireclient.StatusErr || resp.Status == wireclient.StatusNotLeader {
-						errN.Add(1)
-						continue
-					}
-					ops.Add(1)
-					ms := float64(time.Since(t0)) / float64(time.Millisecond)
-					shard.mu.Lock()
-					shard.lats = append(shard.lats, ms)
-					shard.mu.Unlock()
-				}
-			}(c, &recs[(ci*o.Depth+d)%latShards], seed)
-		}
-	}
-	time.Sleep(o.Duration)
-	close(stop)
-	wg.Wait()
-	return finishClosed(&ops, recs, o.Duration)
-}
-
-func compareReq(rng *rand.Rand, o closedOptions) wireclient.Request {
-	key := fmt.Sprintf("lh-%06d", rng.Intn(o.Keys))
-	if rng.Float64() < o.WriteFrac {
-		return wireclient.Request{Op: wireclient.OpPut, Key: key, Value: []byte("xxxxxxxx")}
-	}
-	return wireclient.Request{Op: wireclient.OpGet, Key: key}
-}
-
-func finishClosed(ops *atomic.Uint64, recs []latRec, d time.Duration) (float64, float64, error) {
-	var lats []float64
-	for i := range recs {
-		recs[i].mu.Lock()
-		lats = append(lats, recs[i].lats...)
-		recs[i].mu.Unlock()
-	}
-	var p99 float64
-	if len(lats) > 0 {
-		p99 = metrics.Quantiles(lats, 0.99)[0]
-	}
-	return float64(ops.Load()) / d.Seconds(), p99, nil
-}

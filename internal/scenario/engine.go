@@ -74,8 +74,7 @@ type MultiCluster interface {
 	Rebalances() []RebalanceStats
 	// PhysLinks returns the consolidated deployment's shared physical
 	// mesh — the fault surface for link-level kinds in sharded runs: one
-	// cut affects every group riding the link. Nil when the deployment
-	// runs per-group meshes (link faults are then unsupported).
+	// cut affects every group riding the link.
 	PhysLinks() *netsim.Network[netsim.Envelope[raft.Message]]
 
 	// Group-addressed fault surface: the *-node kinds carrying a Group

@@ -370,11 +370,8 @@ func armShardFaults(mc MultiCluster, start time.Duration, faults []Fault) {
 	eng := mc.Engine()
 	var lc *linkCuts
 	cutsFor := func() *linkCuts {
-		nw := mc.PhysLinks()
-		if nw == nil {
-			return nil
-		}
 		if lc == nil {
+			nw := mc.PhysLinks()
 			lc = &linkCuts{n: nw.N(), nw: nw, refs: map[int]int{}}
 		}
 		return lc
@@ -388,9 +385,7 @@ func armShardFaults(mc MultiCluster, start time.Duration, faults []Fault) {
 			// leadership — including into a group that is mid-migration.
 			var cuts *linkCuts
 			if f.Kind == FaultPartitionNode {
-				if cuts = cutsFor(); cuts == nil {
-					continue // per-group meshes: Validate rejects these specs
-				}
+				cuts = cutsFor()
 			}
 			for _, at := range f.occurrences() {
 				eng.Schedule(start+at, func() { fireGroupFault(eng, mc, f, cuts) })
@@ -407,11 +402,7 @@ func armShardFaults(mc MultiCluster, start time.Duration, faults []Fault) {
 				})
 			}
 		case f.Kind.shardLink():
-			nw := mc.PhysLinks()
-			if nw == nil {
-				continue // per-group meshes: Validate rejects these specs
-			}
-			cuts := cutsFor()
+			nw, cuts := mc.PhysLinks(), cutsFor()
 			for _, at := range f.occurrences() {
 				eng.Schedule(start+at, func() { fireShardLink(eng, nw, f, cuts) })
 			}

@@ -47,17 +47,11 @@ type Config struct {
 	Logger *log.Logger
 	// ProposeTimeout bounds how long a PUT waits for commit (default 5s).
 	ProposeTimeout time.Duration
-	// BatchWindow enables server-side group commit on the propose path:
-	// concurrent commands arriving within the window coalesce into ONE
-	// multi-op raft entry (kv.OpBatch), cutting per-entry replication
-	// cost under load. Zero disables batching — every Propose is its own
-	// entry, as before.
+	// BatchWindow is the group-commit window on the propose path:
+	// concurrent commands arriving within it coalesce into ONE multi-op
+	// raft entry (kv.OpBatch), cutting per-entry replication cost under
+	// load. Zero means batcher.DefaultWindow; every node group-commits.
 	BatchWindow time.Duration
-	// BatchMaxOps / BatchMaxBytes flush a batch before the window when it
-	// fills (defaults batcher.DefaultMaxOps / DefaultMaxBytes). Only used
-	// when BatchWindow > 0.
-	BatchMaxOps   int
-	BatchMaxBytes int
 	// Persister, when set, makes the node's term/vote/log durable
 	// (typically a *storage.WAL); Restored resumes from a previous run's
 	// recovered state. Both nil for a volatile node.
@@ -84,7 +78,7 @@ type Server struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	// bat, when non-nil, group-commits Propose calls (Config.BatchWindow).
+	// bat group-commits Propose calls (Config.BatchWindow).
 	bat *batcher.Batcher
 	// errProposeTO / errReadTO are the preallocated timeout errors the
 	// deadline heap delivers — no per-request error or timer allocation.
@@ -141,16 +135,12 @@ func Start(cfg Config) (*Server, error) {
 	}
 	s.dtimer = time.AfterFunc(time.Hour, func() { s.exec(s.sweepDeadlines) })
 	s.dtimer.Stop()
-	if cfg.BatchWindow > 0 {
-		s.bat = batcher.New(batcher.Config{
-			Window:   cfg.BatchWindow,
-			MaxOps:   cfg.BatchMaxOps,
-			MaxBytes: cfg.BatchMaxBytes,
-			Flush: func(ops []batcher.Op, _ batcher.FlushReason) {
-				s.exec(func() { s.proposeOps(ops) })
-			},
-		})
-	}
+	s.bat = batcher.New(batcher.Config{
+		Window: cfg.BatchWindow,
+		Flush: func(ops []batcher.Op, _ batcher.FlushReason) {
+			s.exec(func() { s.proposeOps(ops) })
+		},
+	})
 
 	tr, err := transport.Start(transport.Config{
 		ID:      cfg.ID,
@@ -300,8 +290,8 @@ func (s *Server) abortIfNotLeader() {
 
 // proposeOps replicates a finished batch as one raft entry (loop
 // goroutine). A single op skips the OpBatch wrapper entirely, so an idle
-// server's entries are byte-identical to the unbatched build and the
-// amplification counters stay honest.
+// server's entries are plain commands and the amplification counters
+// stay honest.
 func (s *Server) proposeOps(ops []batcher.Op) {
 	var data []byte
 	if len(ops) == 1 {
@@ -427,7 +417,8 @@ type BatchStats struct {
 	batcher.Stats
 	// ClientOps counts commands accepted into the propose path; Entries
 	// counts raft entries proposed for them. Their ratio is the propose
-	// amplification — 1.0 unbatched, pushed below 1 by group commit.
+	// amplification — 1.0 when every batch holds one command, below 1 once
+	// group commit coalesces.
 	ClientOps uint64 `json:"client_ops"`
 	Entries   uint64 `json:"entries"`
 }
@@ -442,26 +433,18 @@ func (b BatchStats) ProposeAmp() float64 {
 
 // BatchStats snapshots the group-commit counters.
 func (s *Server) BatchStats() BatchStats {
-	st := BatchStats{ClientOps: s.clientOps.Load(), Entries: s.entries.Load()}
-	if s.bat != nil {
-		st.Stats = s.bat.Stats()
-	}
-	return st
+	return BatchStats{Stats: s.bat.Stats(), ClientOps: s.clientOps.Load(), Entries: s.entries.Load()}
 }
 
 // errShutdown is what in-flight requests see when Stop wins the race.
 var errShutdown = errors.New("server: shut down")
 
-// Propose replicates a command and waits for it to commit locally. With
-// BatchWindow set it joins the open group-commit batch; either way the
-// timeout comes from the shared deadline heap, not a per-call timer.
+// Propose replicates a command and waits for it to commit locally. It
+// joins the open group-commit batch; the timeout comes from the shared
+// deadline heap, not a per-call timer.
 func (s *Server) Propose(cmd kv.Command) error {
 	w := batcher.NewWaiter()
-	if s.bat != nil {
-		s.bat.Add(cmd, w)
-	} else {
-		s.exec(func() { s.proposeOps([]batcher.Op{{Cmd: cmd, W: w}}) })
-	}
+	s.bat.Add(cmd, w)
 	select {
 	case err := <-w.C():
 		return err
@@ -589,11 +572,9 @@ func (s *Server) Stop() {
 		if s.bsrv != nil {
 			s.bsrv.close() // graceful: drains in-flight binary requests
 		}
-		if s.bat != nil {
-			// Close the batcher: queued and future Adds fail fast instead
-			// of sitting in a window no one will flush.
-			s.bat.Drain(errShutdown)
-		}
+		// Close the batcher: queued and future Adds fail fast instead of
+		// sitting in a window no one will flush.
+		s.bat.Drain(errShutdown)
 		close(s.done)
 		if s.hsrv != nil {
 			s.hsrv.Close()

@@ -79,15 +79,6 @@ func TestConsolidatedMessageReductionAtG16(t *testing.T) {
 	if lg.TotalCompleted() == 0 {
 		t.Fatal("load generator completed nothing")
 	}
-
-	// The per-group-mesh build has no shared fabric to account for.
-	legacy := New(Options{Groups: 16, NodesPerGroup: 3, Seed: 7, Profile: fastProfile(), PerGroupMesh: true})
-	if l, w := legacy.WireStats(); l != 0 || w != 0 {
-		t.Fatalf("PerGroupMesh WireStats() = (%d, %d), want zeros", l, w)
-	}
-	if legacy.PhysLinks() != nil {
-		t.Fatal("PerGroupMesh PhysLinks() non-nil")
-	}
 }
 
 // TestSharedMeshFaultSeversAllGroups pins group-aware fault semantics on

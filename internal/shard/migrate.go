@@ -25,13 +25,11 @@ import (
 //     falls back to its previous-epoch owner, so no read misses a key
 //     that committed before the move. (After cutover the destination is
 //     authoritative — see dualReadActive.)
-//   - The bulk phase (snapshot-ship, the default) exports the moved span
-//     from each authoritative source leader's store as byte-capped
-//     chunks (kv.SpanExport) and replicates each chunk as a single
+//   - The bulk phase (snapshot-ship) exports the moved span from each
+//     authoritative source leader's store as byte-capped chunks
+//     (kv.SpanExport) and replicates each chunk as a single
 //     OpInstallSpan command at its destination: O(chunks) consensus
 //     rounds for the resident span instead of O(keys).
-//     Options.MigrateKeyStream skips it, restoring the per-key protocol
-//     for A/B comparison (dynabench's migration bench runs both).
 //   - The drain itself is a convergence loop covering the delta the bulk
 //     export missed (pre-flip writes that were still queued at a source
 //     leader when the span was exported): scan the source leader stores
@@ -196,7 +194,7 @@ func (s *Cluster) RemoveGroupLive(deadline time.Duration) error {
 	}
 	s.migr = &migration{
 		s: s, kind: "remove-group", target: g, deadline: now + deadline,
-		phase:    s.drainStartPhase(), // nothing to boot: ship (or drain) right away
+		phase:    phaseBulk, // nothing to boot: ship right away
 		waits:    map[GroupID]uint64{},
 		barriers: map[GroupID]uint64{},
 		moved:    map[string]bool{},
@@ -208,17 +206,6 @@ func (s *Cluster) RemoveGroupLive(deadline time.Duration) error {
 	s.migr.proposeBarriers(now)
 	s.eng.After(migrTick, s.tickMigration)
 	return nil
-}
-
-// drainStartPhase is the phase a migration enters once its topology is
-// ready (the booted group has a leader, or there was nothing to boot):
-// the snapshot-ship bulk phase by default, or straight to the per-key
-// drain under Options.MigrateKeyStream.
-func (s *Cluster) drainStartPhase() int {
-	if s.opts.MigrateKeyStream {
-		return phaseDrain
-	}
-	return phaseBulk
 }
 
 // sourceGroups lists the groups whose stores the migration drains: for an
@@ -351,7 +338,7 @@ func (s *Cluster) tickMigration() {
 		if now >= m.deadline {
 			m.abort(now)
 		} else if s.groups[m.target].Leader() != nil {
-			m.phase = s.drainStartPhase()
+			m.phase = phaseBulk
 		}
 	case phaseBulk:
 		// The bulk phase sits inside the cutover window like the drain: a
@@ -736,10 +723,9 @@ func (m *migration) cleanupTick(now time.Duration) {
 		return
 	}
 	// add-group: delete every key a serving group still holds but no
-	// longer owns (the moved keys' source copies). In snapshot-ship mode
-	// the stale keys retire as OpDeleteSpan chunks — the cleanup stays
-	// O(chunks) like the bulk phase — while key-stream mode pays one
-	// OpDelete per key, preserving the A/B comparison end to end.
+	// longer owns (the moved keys' source copies). The stale keys retire
+	// as OpDeleteSpan chunks, so the cleanup stays O(chunks) like the
+	// bulk phase.
 	clean := true
 	for g := 0; g < m.s.router.Groups(); g++ {
 		if GroupID(g) == m.target {
@@ -755,14 +741,6 @@ func (m *migration) cleanupTick(now time.Duration) {
 				clean = false
 				stale = append(stale, k)
 			}
-		}
-		if m.s.opts.MigrateKeyStream {
-			for _, k := range stale {
-				m.queue = append(m.queue, copyCmd{dst: GroupID(g), cmd: kv.Command{
-					Op: kv.OpDelete, Client: migrClientID, Key: k,
-				}})
-			}
-			continue
 		}
 		for _, chunk := range spanDeleteChunks(stale, migrSpanBytes) {
 			m.queue = append(m.queue, copyCmd{dst: GroupID(g), cmd: kv.Command{

@@ -44,25 +44,9 @@ type Options struct {
 	// SnapshotChunk bounds one streamed InstallSnapshot message; 0 keeps
 	// single-envelope transfers.
 	SnapshotChunk int
-	// MigrateKeyStream reverts group migrations to the pre-snapshot-ship
-	// protocol that proposes every moved key as its own command. The
-	// default (false) bulk-ships the moved span as OpInstallSpan chunks —
-	// O(chunks) consensus rounds instead of O(keys) — and key-streams only
-	// the delta; kept as an A/B switch for dynabench's migration
-	// comparison.
-	MigrateKeyStream bool
 
-	// PerGroupMesh disables the multi-Raft node consolidation: every
-	// group builds its own private netsim mesh, its own per-timer engine
-	// events, and ships one wire message per raft message — the
-	// pre-consolidation deployment, kept for A/B benchmarking
-	// (dynabench's -groups-curve reports both builds). The default
-	// (false) runs all groups over one shared physical mesh with
-	// consolidated per-node ticks and per-node-pair envelope batching.
-	PerGroupMesh bool
-	// Fabric tunes the consolidated transport (tick grids, batch
-	// window); zero fields take cluster.Fabric defaults. Ignored under
-	// PerGroupMesh.
+	// Fabric tunes the consolidated transport every group rides (tick
+	// grids, batch window); zero fields take cluster.Fabric defaults.
 	Fabric cluster.FabricOptions
 }
 
@@ -80,10 +64,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Cluster is a sharded deployment: G Raft groups sharing one virtual
-// clock, with a consistent-hash router in front. Each group is a full
-// cluster.Cluster — own netsim mesh (same profile), own kv stores, own
-// tuners, own leader — so failures and tuning in one group never touch
-// another.
+// clock and one physical mesh, with a consistent-hash router in front.
+// Each group is a full cluster.Cluster — own kv stores, own tuners, own
+// leader — so failures and tuning in one group never touch another.
 //
 // The group set is dynamic: AddGroupLive / RemoveGroupLive (migrate.go)
 // grow or shrink it mid-run with a drain → cutover → serve migration.
@@ -95,9 +78,8 @@ type Cluster struct {
 	router *Router
 	groups []*cluster.Cluster
 
-	// fabric is the consolidation layer all groups share (nil under
-	// Options.PerGroupMesh): one physical mesh, one tick driver per node,
-	// per-node-pair envelope batching.
+	// fabric is the consolidation layer all groups share: one physical
+	// mesh, one tick driver per node, per-node-pair envelope batching.
 	fabric *cluster.Fabric
 
 	// retired marks group-table slots decommissioned by RemoveGroupLive
@@ -130,9 +112,7 @@ func New(opts Options) *Cluster {
 		eng:    sim.NewEngine(opts.Seed),
 		router: NewRouter(opts.Groups, opts.Replicas),
 	}
-	if !opts.PerGroupMesh {
-		s.fabric = cluster.NewFabric(s.eng, opts.NodesPerGroup, opts.Profile, opts.Fabric)
-	}
+	s.fabric = cluster.NewFabric(s.eng, opts.NodesPerGroup, opts.Profile, opts.Fabric)
 	s.groups = make([]*cluster.Cluster, opts.Groups)
 	s.retired = make([]bool, opts.Groups)
 	for g := range s.groups {
@@ -142,7 +122,7 @@ func New(opts Options) *Cluster {
 }
 
 // newGroup builds one Raft group on the shared engine, attached to the
-// consolidation fabric unless the deployment runs per-group meshes.
+// consolidation fabric.
 func (s *Cluster) newGroup() *cluster.Cluster {
 	return cluster.NewWithEngine(s.eng, cluster.Options{
 		N:             s.opts.NodesPerGroup,
@@ -479,14 +459,10 @@ func (s *Cluster) ProbeRead(key string) (v []byte, found, servable bool) {
 	return nil, false, false
 }
 
-// PhysLinks exposes the consolidated deployment's shared physical mesh —
-// every group's traffic rides it, so one SetDown severs the path for all
-// of them. It is nil under Options.PerGroupMesh, where each group owns a
-// private mesh (Group(g).Network()).
+// PhysLinks exposes the deployment's shared physical mesh — every
+// group's traffic rides it, so one SetDown severs the path for all of
+// them.
 func (s *Cluster) PhysLinks() *netsim.Network[netsim.Envelope[raft.Message]] {
-	if s.fabric == nil {
-		return nil
-	}
 	return s.fabric.Net()
 }
 
@@ -494,12 +470,8 @@ func (s *Cluster) PhysLinks() *netsim.Network[netsim.Envelope[raft.Message]] {
 // logical is the number of raft messages submitted by senders (what a
 // per-group mesh would have put on the wire one-per-message), wire the
 // number of envelopes that actually crossed the shared mesh. Their ratio
-// is the per-node-pair batching factor. Both are zero under
-// Options.PerGroupMesh.
+// is the per-node-pair batching factor.
 func (s *Cluster) WireStats() (logical, wire uint64) {
-	if s.fabric == nil {
-		return 0, 0
-	}
 	st := s.fabric.Net().TotalStats()
 	return s.fabric.LogicalMessages(), st.Sent[netsim.TCP] + st.Sent[netsim.UDP]
 }

@@ -8,7 +8,7 @@ import (
 	"dynatune/internal/raft"
 )
 
-func reserveAddr(t *testing.T, network string) string {
+func reserveAddr(t testing.TB, network string) string {
 	t.Helper()
 	if network == "udp" {
 		pc, err := net.ListenPacket("udp", "127.0.0.1:0")

@@ -265,11 +265,15 @@ func (oc *outConn) send(t *Transport, m raft.Message) {
 }
 
 // enqueueLocked buffers m for the writer, evicting the oldest message
-// when the queue is full; oc.mu held.
+// when the queue is full; oc.mu held. Eviction reslices the head instead
+// of shifting the queue, so a Send to a stalled peer costs O(1)
+// amortized: append reallocates only once the head has walked off the
+// backing array's spare capacity.
 func (oc *outConn) enqueueLocked(t *Transport, m raft.Message) {
 	if len(oc.queue) >= outQueueMax {
 		dropped := oc.queue[0]
-		oc.queue = append(oc.queue[:0], oc.queue[1:]...)
+		oc.queue[0] = raft.Message{} // release its entries to the GC
+		oc.queue = oc.queue[1:]
 		t.drop(dropped, "send queue full")
 	}
 	oc.queue = append(oc.queue, m)
